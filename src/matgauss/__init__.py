@@ -23,7 +23,6 @@ from .characters import (
 from .cyclotomic import (
     CyclotomicInteger,
     CyclotomicRing,
-    abs_embed,
     cyclotomic_polynomial,
     get_ring,
     zeta_pow,
@@ -34,10 +33,8 @@ from .finite_field import (
     FieldElement,
     MultGroupTable,
     build_mult_table,
-    enumerate_elements,
     is_prime,
     make_field,
-    trace_to_prime,
 )
 from .gauss_sums import (
     SumReport,

@@ -21,6 +21,7 @@ from .characters import (
     clear_character_caches,
     kloosterman,
     kloosterman_bruteforce,
+    value_ring,
 )
 from .finite_field import build_mult_table, make_field
 from .gauss_sums import (
@@ -127,6 +128,7 @@ def _parse_matrix(text: str, field, n: int) -> MatrixFq:
 
 def _cmd_eval(args, group: str) -> int:
     fld = make_field(args.p, args.e)
+    value_ring(fld)  # a ring beyond MAX_ORDER fails here, before the dlog table
     U = _parse_matrix(args.matrix, fld, args.n)
     lam = AdditiveCharacter(fld.element(args.lambda_twist))
     u = U.rank()

@@ -1,16 +1,16 @@
 """Exact arithmetic in rings of cyclotomic integers Z[zeta_m].
 
 A value is an integer vector in the power basis 1, zeta, ..., zeta^(phi(m)-1),
-always reduced modulo the m-th cyclotomic polynomial, so ring equality is
-plain coefficient comparison.  Coefficients are Python ints and never
+always reduced modulo the m-th cyclotomic polynomial Phi_m, so ring equality
+is plain coefficient comparison.  Coefficients are Python ints and never
 overflow, which matters because brute-force character sums can run over
 groups with ~10^7 elements.
 
 Character sums are most naturally accumulated as integer multiples of powers
 zeta^k with 0 <= k < m; ``CyclotomicRing.from_power_counts`` turns such a
-tally into a canonical value with a single reduction.  Reduction rows
-(the power-basis coordinates of zeta^k for k >= phi(m)) are built lazily and
-cached per ring.
+tally into a canonical value, and root powers and products reduce through it
+too.  It needs O(m) memory: products are big-int products (Kronecker
+substitution) and Phi_m is divided out through its power-series inverse.
 
 A double-precision complex embedding is provided for magnitude checks only;
 it is never used to decide equality.
@@ -19,7 +19,10 @@ it is never used to decide equality.
 from __future__ import annotations
 
 import cmath
-import threading
+import math
+import operator
+import sys
+from array import array
 from functools import lru_cache
 
 MAX_ORDER = 10**6
@@ -40,99 +43,117 @@ def _factor_squarefree_part(m: int) -> list[int]:
 
 
 def _mul_by_x_pow_minus_one(poly: list[int], d: int) -> list[int]:
-    out = [0] * (len(poly) + d)
-    for i, c in enumerate(poly):
-        if c:
-            out[i] -= c
-            out[i + d] += c
-    return out
+    return list(map(operator.sub, [0] * d + poly, poly + [0] * d))
 
 
 def _div_by_x_pow_minus_one(poly: list[int], d: int) -> list[int]:
-    deg = len(poly) - 1
-    qdeg = deg - d
-    quot = [0] * (qdeg + 1)
-    for j in range(qdeg, -1, -1):
-        quot[j] = poly[j + d] + (quot[j + d] if j + d <= qdeg else 0)
+    quot = poly[d:]
+    for j in range(len(quot) - d - 1, -1, -1):
+        quot[j] += quot[j + d]
     if _mul_by_x_pow_minus_one(quot, d) != poly:
         raise ArithmeticError("inexact polynomial division")  # unreachable
     return quot
 
 
-def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, little-endian.
+def _moebius_product(m: int, cofactor: bool = False) -> list[int]:
+    """Phi_m, or with cofactor=True (x^m - 1) / Phi_m, as a Moebius product.
 
-    Computed from the Moebius product over the squarefree divisors t of m:
-    multiply (x^(m/t) - 1) when t has an even number of prime factors,
-    divide by it when odd.  All divisions are exact.
+    Phi_m is the product over the squarefree divisors t of m of
+    (x^(m/t) - 1)^mu(t); the cofactor negates every exponent and skips t = 1.
+    All multiplications come first, so every division is exact.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"order must be a positive integer, got {m}")
-    if m > MAX_ORDER:
-        raise ValueError(f"order {m} exceeds the supported bound {MAX_ORDER}")
     primes = _factor_squarefree_part(m)
     mul_degrees: list[int] = []
     div_degrees: list[int] = []
-    for mask in range(1 << len(primes)):
-        t = 1
-        bits = 0
-        for i, pr in enumerate(primes):
-            if mask >> i & 1:
-                t *= pr
-                bits += 1
-        (mul_degrees if bits % 2 == 0 else div_degrees).append(m // t)
+    for mask in range(1 if cofactor else 0, 1 << len(primes)):
+        t = math.prod(pr for i, pr in enumerate(primes) if mask >> i & 1)
+        even = bin(mask).count("1") % 2 == 0
+        (mul_degrees if even != cofactor else div_degrees).append(m // t)
     poly = [1]
     for d in sorted(mul_degrees):
         poly = _mul_by_x_pow_minus_one(poly, d)
     for d in sorted(div_degrees):
         poly = _div_by_x_pow_minus_one(poly, d)
-    return tuple(poly)
+    return poly
+
+
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Coefficients of the m-th cyclotomic polynomial, little-endian."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"order must be a positive integer, got {m}")
+    if m > MAX_ORDER:
+        raise ValueError(f"order {m} exceeds the supported bound {MAX_ORDER}")
+    return tuple(_moebius_product(m))
+
+
+# array typecode of each machine-integer width in bytes; slots are
+# little-endian, so other machines take the generic byte path
+_MACHINE_TYPES = {array(code).itemsize: code for code in "qihb"} if sys.byteorder == "little" else {}
+
+
+def _bias(n: int, w: int) -> int:
+    """2^(8w-1), the sign bit of a w-byte slot, in each of n slots."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(v, w: int) -> int:
+    """sum(v[i] * 2^(8wi)), built from v's w-byte two's-complement slots."""
+    code = _MACHINE_TYPES.get(w)
+    if code:
+        raw = array(code, v).tobytes()
+    else:
+        raw = b"".join([c.to_bytes(w, "little", signed=True) for c in v])
+    # flipping every sign bit turns each slot into its value plus the bias
+    bias = _bias(len(v), w)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(x: int, n: int, w: int) -> list[int]:
+    """The n lowest signed w-byte slots of x; the inverse of _pack."""
+    bias = _bias(n, w)
+    # with the bias added, no low slot borrows from the one above it
+    low = (x + bias) & ((1 << (8 * w * n)) - 1)
+    raw = (low ^ bias).to_bytes(w * n, "little")
+    code = _MACHINE_TYPES.get(w)
+    if code:
+        return array(code, raw).tolist()
+    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, w * n, w)]
+
+
+def _mul_low(a, b, n: int) -> list[int]:
+    """The n lowest coefficients of the product of integer vectors a and b.
+
+    Kronecker substitution: each vector becomes one big int, its value at
+    x = 2^(8w) for a slot of w bytes that holds any product coefficient with
+    its sign, and one big-int product replaces the convolution.
+    """
+    a, b = a[:n], b[:n]
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
+    if not bound:
+        return [0] * n
+    bits = bound.bit_length() + 1
+    w = next((s for s in sorted(_MACHINE_TYPES) if 8 * s >= bits), (bits + 7) // 8)
+    return _unpack(_pack(a, w) * _pack(b, w), n, w)
 
 
 class CyclotomicRing:
-    """Z[zeta_m], holding the reduction data shared by its elements."""
+    """Z[zeta_m]: its order, Phi_m and, from the first reduction on, Phi_m's inverse."""
 
     def __init__(self, m: int):
         self.m = m
         self.polynomial = cyclotomic_polynomial(m)
         self.degree = len(self.polynomial) - 1
-        # row k - degree holds the power-basis coordinates of zeta^k;
-        # grown lazily under the lock so concurrent workers cannot interleave
-        self._rows: list[tuple[int, ...]] = []
-        self._rows_lock = threading.Lock()
+        self._inverse: list[int] | None = None
 
     def __repr__(self):
         return f"CyclotomicRing({self.m})"
 
-    def _ensure_rows(self, k: int) -> None:
-        d = self.degree
-        rows = self._rows
-        if len(rows) >= k - d + 1:
-            return
-        with self._rows_lock:
-            if not rows:
-                rows.append(tuple(-c for c in self.polynomial[:d]))
-            top = rows[0]
-            while len(rows) < k - d + 1:
-                prev = rows[-1]
-                lead = prev[d - 1]
-                nxt = [0]
-                nxt.extend(prev[: d - 1])
-                if lead:
-                    for i in range(d):
-                        nxt[i] += lead * top[i]
-                rows.append(tuple(nxt))
-
     def root_power(self, k: int) -> "CyclotomicInteger":
         """zeta_m^k, reduced into the power basis."""
         k %= self.m
-        d = self.degree
-        if k < d:
-            coeffs = [0] * d
-            coeffs[k] = 1
-            return CyclotomicInteger(self.m, tuple(coeffs))
-        self._ensure_rows(k)
-        return CyclotomicInteger(self.m, self._rows[k - d])
+        counts = [0] * (k + 1)
+        counts[k] = 1
+        return self.from_power_counts(counts)
 
     def from_int(self, value: int) -> "CyclotomicInteger":
         coeffs = [0] * self.degree
@@ -152,27 +173,28 @@ class CyclotomicRing:
         return CyclotomicInteger(self.m, cs)
 
     def from_power_counts(self, counts) -> "CyclotomicInteger":
-        """Exact value of sum(counts[k] * zeta^k); indices beyond m wrap."""
+        """Exact value of sum(counts[k] * zeta^k); indices beyond m wrap.
+
+        Folding modulo x^m - 1 leaves f of length at most m.  Reversed, the
+        quotient of f by Phi_m is f's reversed top times the inverse of
+        Phi_m's reversal, and the remainder needs only the d = phi(m) low
+        coefficients of quotient * Phi_m.
+        """
         m, d = self.m, self.degree
-        if len(counts) > m:
-            folded = [0] * m
-            for k, c in enumerate(counts):
-                if c:
-                    folded[k % m] += c
-            counts = folded
-        coeffs = list(counts[:d])
-        coeffs.extend([0] * (d - len(coeffs)))
-        top = [k for k in range(d, len(counts)) if counts[k]]
-        if top:
-            self._ensure_rows(top[-1])
-            rows = self._rows
-            for k in top:
-                c = counts[k]
-                row = rows[k - d]
-                for i, r in enumerate(row):
-                    if r:
-                        coeffs[i] += c * r
-        return CyclotomicInteger(m, tuple(coeffs))
+        f = list(counts[:m])
+        for start in range(m, len(counts), m):
+            chunk = counts[start:start + m]
+            f[: len(chunk)] = map(operator.add, f, chunk)
+        f.extend([0] * (d - len(f)))
+        if self._inverse is None:
+            # the reversals of Phi_m and of its cofactor multiply to 1 - x^m,
+            # so the cofactor's reversal is the inverse modulo x^(m - d);
+            # threads that race here compute the same list
+            self._inverse = _moebius_product(m, cofactor=True)[:0:-1]
+        quot = _mul_low(f[: d - 1 : -1], self._inverse, len(f) - d)
+        quot.reverse()
+        low = _mul_low(quot, self.polynomial, d)
+        return CyclotomicInteger(m, tuple(map(operator.sub, f[:d], low)))
 
 
 @lru_cache(maxsize=32)
@@ -188,10 +210,6 @@ class CyclotomicInteger:
     def __init__(self, m: int, coeffs: tuple[int, ...]):
         self.m = m
         self.coeffs = coeffs
-
-    @classmethod
-    def from_int(cls, m: int, value: int) -> "CyclotomicInteger":
-        return get_ring(m).from_int(value)
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicInteger):
@@ -238,13 +256,7 @@ class CyclotomicInteger:
         if rhs is None:
             return NotImplemented
         a, b = self.coeffs, rhs.coeffs
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return get_ring(self.m).from_power_counts(conv)
+        return get_ring(self.m).from_power_counts(_mul_low(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -296,7 +308,3 @@ class CyclotomicInteger:
 def zeta_pow(m: int, k: int) -> CyclotomicInteger:
     """zeta_m^k in the power basis (k may be any integer)."""
     return get_ring(m).root_power(k)
-
-
-def abs_embed(value: CyclotomicInteger) -> float:
-    return value.abs_embed()

@@ -470,16 +470,6 @@ def build_mult_table(field: Field) -> MultGroupTable:
     return table
 
 
-def trace_to_prime(x: FieldElement) -> int:
-    """tr(x) = x + x^p + ... + x^(p^(e-1)), as an integer in [0, p)."""
-    return x.field.trace_enc(x.enc)
-
-
-def enumerate_elements(field: Field) -> Iterator[FieldElement]:
-    """All q elements in canonical order (zero first)."""
-    return field.elements()
-
-
 @lru_cache(maxsize=None)
 def _make_field_cached(p: int, e: int) -> Field:
     return Field(p, e, _first_irreducible(p, e))

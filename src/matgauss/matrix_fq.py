@@ -17,7 +17,7 @@ import itertools
 import random
 from typing import Iterable, Iterator
 
-from .budget import EnumerationBudgetError, check_budget, resolve_budget
+from .budget import check_budget
 from .finite_field import Field, FieldElement
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "random_matrix",
     "random_invertible",
     "random_rank_matrix",
-    "EnumerationBudgetError",
-    "resolve_budget",
 ]
 
 MAX_DIMENSION = 8

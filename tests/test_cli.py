@@ -73,6 +73,19 @@ class TestEvalGl:
         )
         assert code == 2
 
+    def test_oversized_value_ring_fails_before_the_dlog_table(self, capsys, monkeypatch):
+        # q = 2^19 is an accepted field, but m = 2 * (q - 1) = 1048574 is not
+        def unreachable(field):
+            raise AssertionError("dlog table built for a field that cannot be evaluated")
+
+        monkeypatch.setattr("matgauss.cli.build_mult_table", unreachable)
+        code, _, err = run(
+            capsys, "eval-gl", "--p", "2", "--e", "19", "--n", "2",
+            "--matrix", "[[1,0],[0,1]]", "--chi", "1",
+        )
+        assert code == 2
+        assert "exceeds the supported bound" in err
+
 
 class TestEvalSl:
     def test_rank_one_value(self, capsys):

@@ -1,11 +1,12 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from matgauss.cyclotomic import (
-    CyclotomicInteger,
+    CyclotomicRing,
     cyclotomic_polynomial,
     get_ring,
     zeta_pow,
@@ -53,6 +54,29 @@ def naive_cyclotomic(m):
         if m % d == 0:
             poly = div(poly, list(naive_cyclotomic(d)))
     return tuple(poly)
+
+
+def schoolbook_reduce(vec, m):
+    """Oracle: long division of sum(vec[k] x^k) by Phi_m, with no folding."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:d]) if c]
+    rem = list(vec) + [0] * d
+    for top in range(len(vec) - 1, d - 1, -1):
+        c = rem[top]
+        if c:
+            for j, y in terms:
+                rem[top - d + j] -= c * y
+    return tuple(rem[:d])
+
+
+def schoolbook_product(a, b, m):
+    """Oracle: dense convolution, then long division by Phi_m."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return schoolbook_reduce(conv, m)
 
 
 class TestCyclotomicPolynomial:
@@ -179,7 +203,7 @@ class TestRingArithmetic:
     def test_abs_of_integers(self):
         assert get_ring(5).zero().abs_embed() == 0.0
         assert get_ring(5).from_int(-7).abs_embed() == pytest.approx(7.0)
-        assert CyclotomicInteger.from_int(8, 3).abs_embed() == pytest.approx(3.0)
+        assert get_ring(8).from_int(3).abs_embed() == pytest.approx(3.0)
 
 
 class TestPowerCounts:
@@ -199,6 +223,64 @@ class TestPowerCounts:
         counts = [0] * 9
         counts[7] = 3  # zeta^7 = zeta^2
         assert ring.from_power_counts(counts) == 3 * zeta_pow(5, 2)
+
+
+# Phi_105 has a coefficient -2; 930, 2046 and 3120 (the value rings of
+# q = 31, 1024 and 625) have four distinct prime factors
+SCHOOLBOOK_ORDERS = [1, 2, 105, 930, 2046, 3120]
+BIG = 10**12
+
+
+class TestAgainstSchoolbook:
+    @pytest.mark.parametrize("m", SCHOOLBOOK_ORDERS)
+    def test_products(self, m):
+        ring = get_ring(m)
+        d = ring.degree
+        rng = random.Random(f"schoolbook-mul:{m}")
+        # random signs, every product coefficient at the slot bound, and
+        # coefficients narrow enough for 8-byte machine slots
+        pairs = [
+            ([rng.randint(-BIG, BIG) for _ in range(d)], [rng.randint(-BIG, BIG) for _ in range(d)]),
+            ([-BIG] * d, [BIG] * d),
+            ([BIG] * d, [rng.choice((-1, 0, 1)) for _ in range(d)]),
+        ]
+        for a, b in pairs:
+            assert (ring.element(a) * ring.element(b)).coeffs == schoolbook_product(a, b, m)
+
+    @pytest.mark.parametrize("m", SCHOOLBOOK_ORDERS)
+    def test_power_counts(self, m):
+        ring = get_ring(m)
+        rng = random.Random(f"schoolbook-counts:{m}")
+        vectors = [
+            [rng.randint(-BIG, BIG) for _ in range(m)],
+            [-BIG] * m,
+            [rng.randint(-BIG, BIG) for _ in range(2 * m + 3)],
+        ]
+        for counts in vectors:
+            assert ring.from_power_counts(counts).coeffs == schoolbook_reduce(counts, m)
+
+    def test_every_root_power(self):
+        ring = get_ring(105)
+        for k in range(105):
+            unit = [0] * (k + 1)
+            unit[k] = 1
+            assert ring.root_power(k).coeffs == schoolbook_reduce(unit, 105)
+
+
+def test_reduction_memory_is_linear_in_m():
+    # the value ring of q = 61: m = 3660, phi(m) = 960
+    ring = CyclotomicRing(3660)
+    rng = random.Random("memory")
+    counts = [rng.randrange(61) for _ in range(ring.m)]
+    tracemalloc.start()
+    try:
+        root = ring.root_power(ring.m - 1)
+        value = ring.from_power_counts(counts)
+        value * root
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
 
 
 def test_json_serialization_shape():
