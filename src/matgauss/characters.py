@@ -7,17 +7,24 @@ additive and multiplicative character values mix without order lifting.
 Each character value is a single power of zeta_m; characters therefore expose
 ``exponent(x)`` alongside the ring-valued evaluation, and whole sums are
 tallied as counts of powers and reduced to canonical form once at the end.
+
+The closed forms' sums index F_q^* by discrete log: x = g^s, with one
+per-field table of tr(g^k), so chi_j(x) * lam_a(x) is zeta_m to the power
+p*j*s + (q-1)*tr(g^(alpha+s)) for a = g^alpha, found without any field
+operation.  The CRT split of Z/m into Z/(q-1) x Z/p makes the Kloosterman
+recursion a cyclic convolution of length m (see ``_kloosterman_levels``).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .budget import check_budget
-from .cyclotomic import CyclotomicInteger, CyclotomicRing, get_ring
-from .finite_field import Field, FieldElement, MultGroupTable
+from .cyclotomic import CyclotomicInteger, CyclotomicRing, _mul_low, get_ring
+from .finite_field import Field, FieldElement, MultGroupTable, build_mult_table
 
 
 def value_ring(field: Field) -> CyclotomicRing:
@@ -87,49 +94,72 @@ class MultiplicativeCharacter:
         return value_ring(self.field).root_power(self.exponent(x))
 
 
+@lru_cache(maxsize=64)
+def _log_traces(table: MultGroupTable) -> tuple[int, ...]:
+    """tr(g^k) for k in [0, q-1), g the table's generator."""
+    field = table.field
+    p = field.p
+    # the trace is F_p-linear in the digits, so extend it one digit at a time
+    by_enc = [0]
+    for i in range(field.e):
+        t = field.trace_enc(p**i)
+        by_enc = [(c * t + r) % p for c in range(p) for r in by_enc]
+    out = [0] * (field.q - 1)
+    for enc, k in enumerate(table.dlog[1:], 1):
+        out[k] = by_enc[enc]
+    return tuple(out)
+
+
+def _log_tally(table: MultGroupTable, lam: AdditiveCharacter, j: int) -> list[int]:
+    """Power counts of sum over nonzero x of chi_j(x) * lam(x), indexed by dlog.
+
+    x = g^s contributes zeta_m^(p*j*s + (q-1)*tr(a*g^s)); for a = g^alpha the
+    trace is entry alpha + s of the trace table, so no field operation runs.
+    """
+    field = table.field
+    q1 = field.q - 1
+    m = field.p * q1
+    if lam.is_trivial:
+        traces = (0,) * q1
+    else:
+        alpha = table.dlog[lam.a.enc]
+        traces = _log_traces(table)
+        traces = traces[alpha:] + traces[:alpha]
+    step = field.p * j
+    counts = [0] * m
+    for s, t in enumerate(traces):
+        counts[(step * s + q1 * t) % m] += 1
+    return counts
+
+
 def classical_gauss_sum(chi: MultiplicativeCharacter, lam: AdditiveCharacter) -> CyclotomicInteger:
     """sum over nonzero x of chi(x) * lam(x), exactly."""
     field = chi.field
     if field != lam.field:
         raise ValueError("characters live on different fields")
     ring = value_ring(field)
-    counts = [0] * ring.m
-    for enc in range(1, field.q):
-        x = FieldElement(field, enc)
-        counts[(chi.exponent(x) + lam.exponent(x)) % ring.m] += 1
-    return ring.from_power_counts(counts)
+    return ring.from_power_counts(_log_tally(chi.table, lam, chi.index))
 
 
 @lru_cache(maxsize=64)
-def _kloosterman_levels(lam: AdditiveCharacter, n: int):
-    """Power-count vectors of K_t(lam, y) for t = n, indexed by encoding of y.
+def _kloosterman_levels(lam: AdditiveCharacter, n: int) -> tuple[int, ...]:
+    """Power counts c_k of the sum over all n-tuples of nonzero x_i of
+    zeta_m^k, k = p * sum(dlog x_i) + (q-1) * sum(tr(a * x_i)) mod m.
 
-    K_1(y) = lam(y); K_t(y) = sum over nonzero x of lam(x) * K_(t-1)(y/x).
-    Multiplying by lam(x) is a cyclic shift of the count vector, so each
-    level costs O(q^2 * m) integer additions.
+    Since gcd(p, q-1) = 1, k = p*s + (q-1)*t identifies Z/m with
+    Z/(q-1) x Z/p: s is the dlog of the tuple's product and t its additive
+    exponent.  Level 1 is the tally of chi_1 * lam, with one count per s.
+    Multiplying generating polynomials modulo x^m - 1 adds both parts at
+    once, so level n is level n-1 times level 1: one Kronecker product and a
+    fold.  K_n(lam, y) is the slice s = dlog(y).
     """
-    field = lam.field
-    m = value_ring(field).m
-    q = field.q
     if n == 1:
-        out: list = [None] * q
-        for y in range(1, q):
-            vec = [0] * m
-            vec[lam.exponent(FieldElement(field, y)) % m] = 1
-            out[y] = tuple(vec)
-        return tuple(out)
-    prev = _kloosterman_levels(lam, n - 1)
-    shifts = [(x, lam.exponent(FieldElement(field, x)) % m) for x in range(1, q)]
-    mul, inv = field.mul_enc, field.inv_enc
-    out = [None] * q
-    for y in range(1, q):
-        acc = [0] * m
-        for x, k in shifts:
-            pv = prev[mul(y, inv(x))]
-            for i, c in enumerate(pv):
-                if c:
-                    acc[(i + k) % m] += c
-        out[y] = tuple(acc)
+        return tuple(_log_tally(build_mult_table(lam.field), lam, 1))
+    first = _kloosterman_levels(lam, 1)
+    m = len(first)
+    prod = _mul_low(_kloosterman_levels(lam, n - 1), first, 2 * m - 1)
+    out = prod[:m]
+    out[: m - 1] = map(operator.add, out, prod[m:])
     return tuple(out)
 
 
@@ -142,8 +172,14 @@ def kloosterman(lam: AdditiveCharacter, n: int, y: FieldElement) -> CyclotomicIn
     field = lam.field
     if y.field != field:
         raise ValueError("argument from a different field")
-    levels = _kloosterman_levels(lam, n)
-    return value_ring(field).from_power_counts(list(levels[y.enc]))
+    ring = value_ring(field)
+    q1 = field.q - 1
+    base = field.p * build_mult_table(field).dlog[y.enc]
+    level = _kloosterman_levels(lam, n)
+    # the count at p*dlog(y) + (q-1)*t is the coefficient of zeta_p^t
+    counts = [0] * ((field.p - 1) * q1 + 1)
+    counts[::q1] = [level[(base + q1 * t) % ring.m] for t in range(field.p)]
+    return ring.from_power_counts(counts)
 
 
 def kloosterman_bruteforce(
@@ -161,19 +197,25 @@ def kloosterman_bruteforce(
     check_budget((q - 1) ** (n - 1), budget, "hyper-Kloosterman enumeration")
     ring = value_ring(field)
     m = ring.m
+    # the additive exponents come from lam itself, not the DP's trace table
     exps = [0] + [lam.exponent(FieldElement(field, x)) % m for x in range(1, q)]
-    mul, inv = field.mul_enc, field.inv_enc
+    dlog = build_mult_table(field).dlog
+    antilog = [0] * (q - 1)
+    for x in range(1, q):
+        antilog[dlog[x]] = x
+    target = dlog[y.enc]
     counts = [0] * m
     for tup in itertools.product(range(1, q), repeat=n - 1):
-        prod = 1
         s = 0
+        k = 0
         for x in tup:
-            prod = mul(prod, x)
-            s += exps[x]
-        last = mul(y.enc, inv(prod))
-        counts[(s + exps[last]) % m] += 1
+            s += dlog[x]
+            k += exps[x]
+        last = antilog[(target - s) % (q - 1)]
+        counts[(k + exps[last]) % m] += 1
     return ring.from_power_counts(counts)
 
 
 def clear_character_caches() -> None:
     _kloosterman_levels.cache_clear()
+    _log_traces.cache_clear()

@@ -252,6 +252,45 @@ def test_kloosterman_dp_against_direct_enumeration():
                             q, n, y.enc)
 
 
+def test_kloosterman_dp_matches_its_fourier_expansion():
+    # K_n(lambda, y) = (1/(q-1)) sum_j conj(chi_j)(y) G(chi_j, lambda)^n, a
+    # route that reaches past enumeration.  The identity holds for any
+    # consistent trace table, so it checks the CRT indexing, the convolution
+    # and the ring reduction; the tally itself is checked by the enumeration
+    # oracle and by |G| = sqrt(q).
+    with criterion("hyper-Kloosterman DP equals its Fourier expansion over F_q^* "
+                   "(q in {64, 81, 128}, n <= 4) and meets the Deligne bound at q = 256"):
+        for q in (64, 81, 128):
+            p, e = factor_prime_power(q)
+            f = make_field(p, e)
+            table = build_mult_table(f)
+            ring = value_ring(f)
+            rng = random.Random(f"acceptance:fourier:{q}")
+            lam = AdditiveCharacter(f.element(rng.randrange(1, q)))
+            chis = [MultiplicativeCharacter(table, j) for j in range(q - 1)]
+            gauss = [classical_gauss_sum(chi, lam) for chi in chis]
+            for n in (2, 3, 4):
+                powers = [g**n for g in gauss]
+                for y in map(f.element, rng.sample(range(1, q), 2)):
+                    total = ring.zero()
+                    for chi, g in zip(chis, powers):
+                        total = total + chi.conjugate()(y) * g
+                    quotient = []
+                    for c in total.coeffs:
+                        d, r = divmod(c, q - 1)
+                        assert r == 0, (q, n, y.enc, c)
+                        quotient.append(d)
+                    assert kloosterman(lam, n, y) == ring.element(quotient), (q, n, y.enc)
+
+        f = make_field(2, 8)
+        lam = AdditiveCharacter(f.element(random.Random("acceptance:deligne").randrange(1, 256)))
+        for n in range(1, 5):
+            bound = n * 256 ** ((n - 1) / 2) + 1e-6
+            for y in f.elements():
+                if y.enc:
+                    assert kloosterman(lam, n, y).abs_embed() <= bound, (n, y.enc)
+
+
 def test_group_orders_match_iterators():
     with criterion("group orders: iterator counts match the product formulas"):
         for n, q in GRID:

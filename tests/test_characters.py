@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from matgauss.characters import (
 )
 from matgauss.cyclotomic import zeta_pow
 from matgauss.finite_field import build_mult_table, make_field
+from matgauss.gauss_sums import factor_prime_power
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -190,6 +192,23 @@ class TestClassicalGaussSum:
                 lam = AdditiveCharacter(f.element(twist))
                 assert abs(classical_gauss_sum(chi, lam).abs_embed() - root_q) <= 1e-6 * root_q
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27])
+    def test_equals_the_literal_sum_for_every_character(self, q):
+        p, e = factor_prime_power(q)
+        f = make_field(p, e)
+        table = build_mult_table(f)
+        ring = value_ring(f)
+        twist = random.Random(f"gauss:{q}").randrange(1, q)
+        for a in {1, twist}:
+            lam = AdditiveCharacter(f.element(a))
+            for j in range(max(q - 1, 1)):
+                chi = MultiplicativeCharacter(table, j)
+                total = ring.zero()
+                for x in f.elements():
+                    if x.enc:
+                        total = total + chi(x) * lam(x)
+                assert classical_gauss_sum(chi, lam) == total, (q, a, j)
+
 
 class TestKloosterman:
     def test_single_variable_reduces_to_lambda(self):
@@ -230,6 +249,30 @@ class TestKloosterman:
         for y in f.elements():
             if y.enc:
                 assert kloosterman(lam, n, y) == kloosterman_bruteforce(lam, n, y)
+
+    @pytest.mark.parametrize("q,max_n", [(8, 4), (9, 4), (16, 3), (25, 3), (27, 3)])
+    def test_dp_matches_enumeration_on_extension_fields(self, q, max_n):
+        p, e = factor_prime_power(q)
+        f = make_field(p, e)
+        twist = random.Random(f"kloosterman:{q}").randrange(2, q)
+        for a in (1, twist):
+            lam = AdditiveCharacter(f.element(a))
+            for n in range(1, max_n + 1):
+                for y in f.elements():
+                    if y.enc:
+                        assert kloosterman(lam, n, y) == kloosterman_bruteforce(lam, n, y), (
+                            a, n, y.enc)
+
+    def test_oversized_value_ring_fails_before_the_dlog_table(self, monkeypatch):
+        # q = 2^19 is an accepted field, but m = 2 * (q - 1) = 1048574 is not
+        def unreachable(field):
+            raise AssertionError("dlog table built for a field that cannot be evaluated")
+
+        monkeypatch.setattr("matgauss.characters.build_mult_table", unreachable)
+        f = make_field(2, 19)
+        lam = AdditiveCharacter(f.element(1))
+        with pytest.raises(ValueError, match="exceeds the supported bound"):
+            kloosterman(lam, 2, f.element(3))
 
     def test_enumeration_budget(self):
         f = make_field(7)
