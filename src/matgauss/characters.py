@@ -94,16 +94,22 @@ class MultiplicativeCharacter:
         return value_ring(self.field).root_power(self.exponent(x))
 
 
+def _trace_table(field: Field, c: int) -> list[int]:
+    """tr(c * x) for every x in F_q, indexed by the encoding of x."""
+    p = field.p
+    # the trace is F_p-linear in the digits of x, so extend it one digit at a time
+    out = [0]
+    for i in range(field.e):
+        t = field.trace_enc(field.mul_enc(c, p**i))
+        out = [(d * t + r) % p for d in range(p) for r in out]
+    return out
+
+
 @lru_cache(maxsize=64)
 def _log_traces(table: MultGroupTable) -> tuple[int, ...]:
     """tr(g^k) for k in [0, q-1), g the table's generator."""
     field = table.field
-    p = field.p
-    # the trace is F_p-linear in the digits, so extend it one digit at a time
-    by_enc = [0]
-    for i in range(field.e):
-        t = field.trace_enc(p**i)
-        by_enc = [(c * t + r) % p for c in range(p) for r in by_enc]
+    by_enc = _trace_table(field, 1)
     out = [0] * (field.q - 1)
     for enc, k in enumerate(table.dlog[1:], 1):
         out[k] = by_enc[enc]

@@ -77,12 +77,17 @@ def _moebius_product(m: int, cofactor: bool = False) -> list[int]:
     return poly
 
 
+def check_order(m: int) -> None:
+    """Reject a ring order past MAX_ORDER."""
+    if m > MAX_ORDER:
+        raise ValueError(f"order {m} exceeds the supported bound {MAX_ORDER}")
+
+
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, little-endian."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"order must be a positive integer, got {m}")
-    if m > MAX_ORDER:
-        raise ValueError(f"order {m} exceeds the supported bound {MAX_ORDER}")
+    check_order(m)
     return tuple(_moebius_product(m))
 
 

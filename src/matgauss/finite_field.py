@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from .cyclotomic import check_order
+
 DEFAULT_MAX_Q = 2**20
 
 # largest q for which encoding-level add/mul/inv lookup tables are built
@@ -445,11 +447,14 @@ def build_mult_table(field: Field) -> MultGroupTable:
     """Find the canonical generator of F_q^* and tabulate discrete logs.
 
     The generator is the first element in encoding order of full order,
-    i.e. with g^((q-1)/r) != 1 for every prime r dividing q-1.
+    i.e. with g^((q-1)/r) != 1 for every prime r dividing q-1.  A field
+    whose character values would need a ring Z[zeta_m], m = p*(q-1), past
+    the cyclotomic bound is rejected before any table work.
     """
     if field._mult_table is not None:
         return field._mult_table
     q = field.q
+    check_order(field.p * (q - 1))
     factors = distinct_prime_factors(q - 1)
     gen_enc = None
     for g in range(1, q):

@@ -21,11 +21,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import getitem
 
 from .budget import check_budget
 from .characters import (
     AdditiveCharacter,
     MultiplicativeCharacter,
+    _trace_table,
     classical_gauss_sum,
     kloosterman,
     value_ring,
@@ -189,43 +191,18 @@ def _character_sum(members, U: MatrixFq, chi: MultiplicativeCharacter | None,
     f = U.field
     ring = value_ring(f)
     m = ring.m
-    q = f.q
-    counts = [0] * m
-    # lambda_a(U . X) = zeta_p^tr(a * (U . X)) = zeta_p^tr((aU) . X)
-    a_enc = lam.a.enc
-    mul = f.mul_enc
-    uflat = [mul(a_enc, x) for row in U.rows for x in row]
-    add_exp = q - 1
-    j = chi.index if chi is not None else 0
-    if j:
-        dlog = chi.table.dlog
-        det_step = f.p * j
-    if f.e == 1:
-        p = f.p
-        if j:
-            for flat, det_enc, _tr in members:
-                s = 0
-                for uu, xx in zip(uflat, flat):
-                    s += uu * xx
-                counts[(s % p * add_exp + det_step * dlog[det_enc]) % m] += 1
-        else:
-            for flat, _det, _tr in members:
-                s = 0
-                for uu, xx in zip(uflat, flat):
-                    s += uu * xx
-                counts[s % p * add_exp] += 1
+    q1 = f.q - 1
+    # lambda_a(U . X) = zeta_p^tr((aU) . X) and the trace is F_p-linear, so
+    # entry i adds (q-1) * tr(aU_i * x_i) to the exponent: one table per entry
+    a = lam.a.enc
+    tables = [[q1 * t for t in _trace_table(f, f.mul_enc(a, u))] for row in U.rows for u in row]
+    if chi is None or chi.is_trivial:
+        det_exps = [0] * f.q
     else:
-        addf = f.add_enc
-        tracef = f.trace_enc
-        for flat, det_enc, _tr in members:
-            s = 0
-            for uu, xx in zip(uflat, flat):
-                if uu and xx:
-                    s = addf(s, mul(uu, xx))
-            k = tracef(s) * add_exp
-            if j:
-                k += det_step * dlog[det_enc]
-            counts[k % m] += 1
+        det_exps = [f.p * (chi.index * k % q1) for k in chi.table.dlog]
+    counts = [0] * m
+    for flat, det, _tr in members:
+        counts[(sum(map(getitem, tables, flat)) + det_exps[det]) % m] += 1
     return ring.from_power_counts(counts)
 
 

@@ -5,10 +5,11 @@ product, rank normal form with explicit transformation matrices (plus the
 determinant-one refinement available below full rank), and exhaustive
 enumeration of GL_n and SL_n.
 
-Enumeration generates all q^(n*n) candidate matrices in lexicographic order
-of the flattened entry encodings and filters by determinant.  The compact
-member stream from ``gl_members``/``sl_members`` is the single source of
-truth for every brute-force oracle in this package.
+Enumeration walks GL_n row by row, in lexicographic order of the flattened
+entry encodings: each (n-1)-row prefix gets its cofactor vector w once, and
+det(X) = <w, x> is tabulated over every last row x, so no candidate needs an
+elimination.  The compact member stream from ``gl_members``/``sl_members`` is
+the single source of truth for every brute-force oracle in this package.
 """
 
 from __future__ import annotations
@@ -201,32 +202,6 @@ class MatrixFq:
 def _det_rows(field: Field, work: list[list[int]]) -> int:
     """Determinant of a scratch row list (consumed) via Gaussian elimination."""
     n = len(work)
-    if field.e == 1:
-        p = field.p
-        det = 1
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if work[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                det = -det % p
-            pv = work[col][col]
-            det = det * pv % p
-            pinv = pow(pv, -1, p)
-            prow = work[col]
-            for i in range(col + 1, n):
-                fac = work[i][col]
-                if fac:
-                    fac = fac * pinv % p
-                    wi = work[i]
-                    for j in range(col + 1, n):
-                        wi[j] = (wi[j] - fac * prow[j]) % p
-        return det
     mul, sub, inv, neg = field.mul_enc, field.sub_enc, field.inv_enc, field.neg_enc
     det = 1
     for col in range(n):
@@ -259,12 +234,6 @@ def frobenius_product(u: MatrixFq, v: MatrixFq) -> FieldElement:
     if u.field != v.field or u.n != v.n:
         raise ValueError("frobenius product needs matching fields and dimensions")
     f = u.field
-    if f.e == 1:
-        s = 0
-        for ru, rv in zip(u.rows, v.rows):
-            for x, y in zip(ru, rv):
-                s += x * y
-        return FieldElement(f, s % f.p)
     mul, add = f.mul_enc, f.add_enc
     s = 0
     for ru, rv in zip(u.rows, v.rows):
@@ -368,37 +337,49 @@ def sl_rank_normal_form(U: MatrixFq) -> tuple[MatrixFq, MatrixFq, int]:
 # Exhaustive enumeration.
 
 
-def _iter_gl_flat(field: Field, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _gl_blocks(field: Field, n: int) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
+    """GL_n(F_q) walked row by row: one list of members per (n-1)-row prefix.
+
+    Prefixes come in lexicographic order, and so do the last rows within a
+    prefix, so the blocks chain into the lexicographic member stream.  The
+    signed (n-1)-minors of a prefix form its cofactor vector w, with
+    det(X) = <w, x> for every last row x; w = 0 exactly when the prefix rows
+    are dependent, and then the prefix is skipped.
+    """
     q = field.q
-    nn = n * n
-    diag_idx = [i * n + i for i in range(n)]
-    if field.e == 1:
-        p = field.p
-        for flat in itertools.product(range(q), repeat=nn):
-            work = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-            det = _det_rows(field, work)
-            if det:
-                tr = sum(flat[i] for i in diag_idx) % p
-                yield flat, det, tr
-    else:
-        field.ensure_tables()
-        add = field.add_enc
-        for flat in itertools.product(range(q), repeat=nn):
-            work = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-            det = _det_rows(field, work)
-            if det:
-                tr = 0
-                for i in diag_idx:
-                    tr = add(tr, flat[i])
-                yield flat, det, tr
+    field.ensure_tables()
+    mul, add, neg = field.mul_enc, field.add_enc, field.neg_enc
+    # addition table; a 1 x 1 walk (whose q may be large) reads only row 0
+    adds = [[add(a, b) for b in range(q)] for a in range(q if n > 1 else 1)]
+    last_rows = list(itertools.product(range(q), repeat=n))
+    cycles = q ** (n - 1)
+    for prefix in itertools.product(range(q), repeat=(n - 1) * n):
+        rows = [prefix[i * n:(i + 1) * n] for i in range(n - 1)]
+        w = [_det_rows(field, [list(r[:j] + r[j + 1:]) for r in rows]) for j in range(n)]
+        if not any(w):
+            continue
+        # <w, x> over F_q^n, one coordinate at a time, x[0] the most significant
+        dets = [0]
+        for j, wj in enumerate(w):
+            if (n - 1 + j) % 2:
+                wj = neg(wj)
+            scaled = [mul(wj, c) for c in range(q)]
+            dets = [row[s] for row in map(adds.__getitem__, dets) for s in scaled]
+        tr = 0
+        for i in range(n - 1):
+            tr = adds[tr][rows[i][i]]
+        # x[n-1] cycles fastest through the last rows
+        traces = adds[tr] * cycles
+        yield [(prefix + x, d, t) for x, d, t in zip(last_rows, dets, traces) if d]
 
 
 def gl_members(field: Field, n: int, budget: int | None = None):
     """Compact GL_n(F_q) stream: (flat entries, det encoding, trace encoding).
 
     Yields each invertible matrix exactly once, in lexicographic order of the
-    flattened entry encodings.  Small groups are cached; callers must treat
-    the result as read-only.
+    flattened entry encodings, from the row walk of ``_gl_blocks``.  The
+    budget still counts all q^(n*n) candidates.  Small groups are cached;
+    callers must treat the result as read-only.
     """
     q = field.q
     check_budget(q ** (n * n), budget, f"enumerating GL_{n}(F_{q})")
@@ -410,11 +391,12 @@ def gl_members(field: Field, n: int, budget: int | None = None):
     qn = q**n
     for i in range(n):
         expected *= qn - q**i
+    walk = itertools.chain.from_iterable(_gl_blocks(field, n))
     if expected * (n * n + 2) <= _MEMBER_CACHE_MAX_INTS:
-        data = tuple(_iter_gl_flat(field, n))
+        data = tuple(walk)
         _GL_CACHE[key] = data
         return data
-    return _iter_gl_flat(field, n)
+    return walk
 
 
 def sl_members(field: Field, n: int, budget: int | None = None):

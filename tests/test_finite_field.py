@@ -1,6 +1,7 @@
 import pytest
 
 from matgauss.finite_field import (
+    Field,
     build_mult_table,
     is_prime,
     make_field,
@@ -179,6 +180,18 @@ class TestMultTable:
         t = build_mult_table(f)
         with pytest.raises(ZeroDivisionError):
             t.dlog_of(f.zero())
+
+    def test_oversized_field_fails_before_the_dlog_table(self, monkeypatch):
+        # q = 2^19 is an accepted field, but m = 2 * (q - 1) = 1048574 is not
+        def unreachable(self, *args):
+            raise AssertionError("dlog table work for a field that cannot be evaluated")
+
+        for name in ("mul_enc", "pow_enc"):
+            monkeypatch.setattr(Field, name, unreachable)
+        f = make_field(2, 19)
+        with pytest.raises(ValueError, match="order 1048574 exceeds the supported bound"):
+            build_mult_table(f)
+        assert f._mult_table is None
 
 
 class TestEnumeration:

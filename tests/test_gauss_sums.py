@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from matgauss.characters import (
     AdditiveCharacter,
     MultiplicativeCharacter,
     classical_gauss_sum,
+    value_ring,
 )
 from matgauss.finite_field import build_mult_table, make_field
 from matgauss.gauss_sums import (
@@ -23,7 +25,13 @@ from matgauss.gauss_sums import (
     sl_order,
     verify_grid,
 )
-from matgauss.matrix_fq import MatrixFq, random_rank_matrix
+from matgauss.matrix_fq import (
+    MatrixFq,
+    enumerate_gl,
+    enumerate_sl,
+    frobenius_product,
+    random_rank_matrix,
+)
 
 
 def setup_field(q, chi_index=0, twist=1):
@@ -118,6 +126,42 @@ class TestSlClosedForm:
             f, _, _ = setup_field(q)
             lam0 = AdditiveCharacter(f.zero())
             assert sl_gauss_bruteforce(MatrixFq.zero(f, 2), lam0) == sl_order(f, 2)
+
+
+class TestOracleSums:
+    """The oracles against the literal sum, written out with the characters.
+
+    Each group is walked once per U as MatrixFq objects; the members are
+    tallied by the pair (det X, U . X), and the sum of chi(det X) *
+    lam(U . X) is taken over the tally, every term through the characters'
+    own ``__call__``.
+    """
+
+    @pytest.mark.parametrize("q", [4, 8, 9])
+    def test_every_character_on_full_and_deficient_u(self, q):
+        p, e = factor_prime_power(q)
+        f = make_field(p, e)
+        ring = value_ring(f)
+        table = build_mult_table(f)
+        rng = random.Random(f"oracle-sums:{q}")
+        twists = (0, 1, rng.randrange(2, q))
+        for U in (random_rank_matrix(f, 2, 2, rng), random_rank_matrix(f, 2, 1, rng)):
+            gl = Counter((X.det(), frobenius_product(U, X)) for X in enumerate_gl(f, 2))
+            sl = Counter(frobenius_product(U, X) for X in enumerate_sl(f, 2))
+            assert sum(gl.values()) == gl_order(f, 2)
+            assert sum(sl.values()) == sl_order(f, 2)
+            for a in twists:
+                lam = AdditiveCharacter(f.element(a))
+                expected = ring.zero()
+                for t, count in sl.items():
+                    expected = expected + count * lam(t)
+                assert sl_gauss_bruteforce(U, lam) == expected, (U, a)
+                for j in range(q - 1):
+                    chi = MultiplicativeCharacter(table, j)
+                    expected = ring.zero()
+                    for (d, t), count in gl.items():
+                        expected = expected + count * chi(d) * lam(t)
+                    assert gl_gauss_bruteforce(U, chi, lam) == expected, (U, j, a)
 
 
 class TestOrders:

@@ -1,19 +1,24 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
+from matgauss import matrix_fq
 from matgauss.budget import EnumerationBudgetError
 from matgauss.finite_field import make_field
 from matgauss.matrix_fq import (
     MatrixFq,
     canonical_rank_matrix,
+    clear_member_cache,
     enumerate_gl,
     enumerate_sl,
     frobenius_product,
+    gl_members,
     random_invertible,
     random_rank_matrix,
     rank_normal_form,
+    sl_members,
     sl_rank_normal_form,
 )
 
@@ -240,6 +245,41 @@ class TestEnumeration:
         f = make_field(7)
         with pytest.raises(EnumerationBudgetError):
             list(enumerate_gl(f, 2))
+
+
+@lru_cache(maxsize=None)
+def reference_members(p, e, n):
+    """GL_n(F_q) as every candidate matrix that MatrixFq.det() keeps."""
+    f = make_field(p, e)
+    out = []
+    for flat in itertools.product(range(f.q), repeat=n * n):
+        x = MatrixFq.from_flat(f, flat, n)
+        det = x.det().enc
+        if det:
+            out.append((flat, det, x.partial_trace(n).enc))
+    return tuple(out)
+
+
+class TestRowWalk:
+    """The member stream against a filter over all q^(n*n) candidates."""
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "streaming"])
+    @pytest.mark.parametrize("p,e,n", [
+        (2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 2), (2, 3, 2), (3, 2, 2),
+        (2, 1, 3), (3, 1, 3), (2, 1, 4), (5, 1, 1), (2, 3, 1),
+    ])
+    def test_matches_the_filtered_product(self, p, e, n, cached, monkeypatch):
+        if not cached:
+            monkeypatch.setattr(matrix_fq, "_MEMBER_CACHE_MAX_INTS", 0)
+        f = make_field(p, e)
+        clear_member_cache()
+        members = gl_members(f, n)
+        assert isinstance(members, tuple) == cached
+        assert ((f, n) in matrix_fq._GL_CACHE) == cached
+        expected = reference_members(p, e, n)
+        assert tuple(members) == expected
+        assert len(expected) == order_gl(f.q, n)
+        assert tuple(sl_members(f, n)) == tuple(m for m in expected if m[1] == 1)
 
 
 class TestRandomSampling:
