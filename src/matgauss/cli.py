@@ -38,7 +38,7 @@ from .gauss_sums import (
     sl_gauss_closed,
     verify_grid,
 )
-from .matrix_fq import MatrixFq
+from .matrix_fq import MatrixFq, clear_member_cache
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,8 +220,11 @@ def _cmd_verify(args) -> int:
 
 
 def _best_time_us(fn, repeat: int) -> float:
+    """Best of ``repeat`` cold runs: every cache an op fills is cleared first."""
     best = None
     for _ in range(repeat):
+        clear_character_caches()
+        clear_member_cache()
         start = time.perf_counter_ns()
         fn()
         took = (time.perf_counter_ns() - start) / 1000.0
@@ -237,17 +240,12 @@ def _cmd_bench(args) -> int:
     chi = MultiplicativeCharacter(build_mult_table(fld), 1 if fld.q > 2 else 0)
     U = MatrixFq.identity(fld, n)
     one = fld.one()
-
-    def klo_dp():
-        clear_character_caches()
-        kloosterman(lam, n, one)
-
     ops = [
         ("gl_closed", lambda: gl_gauss_closed(U, chi, lam)),
         ("gl_bruteforce", lambda: gl_gauss_bruteforce(U, chi, lam)),
         ("sl_closed", lambda: sl_gauss_closed(U, lam)),
         ("sl_bruteforce", lambda: sl_gauss_bruteforce(U, lam)),
-        ("kloosterman_dp", klo_dp),
+        ("kloosterman_dp", lambda: kloosterman(lam, n, one)),
         ("kloosterman_enum", lambda: kloosterman_bruteforce(lam, n, one)),
     ]
     lines = ["operation,n,q,microseconds"]

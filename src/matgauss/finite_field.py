@@ -8,7 +8,9 @@ polynomial of degree e in encoding order, so two constructions of F_{p^e}
 always agree, and the multiplicative generator is the first element (again in
 encoding order) of full order, which makes character indexing reproducible.
 
-For e = 1 all arithmetic short-circuits to plain integers mod p.
+Arithmetic reads log, antilog and Zech tables, one path for every p and e
+(see ``Field``); the polynomial helpers serve only the modulus search and the
+table build.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from typing import Iterator
 from .cyclotomic import check_order
 
 DEFAULT_MAX_Q = 2**20
-
-# largest q for which encoding-level add/mul/inv lookup tables are built
-_LUT_MAX_Q = 256
 
 
 def is_prime(n: int) -> bool:
@@ -133,7 +132,7 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     r | e the polynomial gcd(x^(p^(e/r)) - x, poly) is constant.
     """
     e = len(poly) - 1
-    if e == 1:
+    if e < 2:  # linear
         return True
     x = [0, 1] + [0] * (e - 2)
 
@@ -168,10 +167,20 @@ def _first_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 
 class Field:
-    """The finite field with q = p**e elements; immutable and shareable."""
+    """The finite field with q = p**e elements; immutable and shareable.
 
-    __slots__ = ("p", "e", "q", "modulus", "_hash", "_mult_table",
-                 "_trace_basis", "_add_lut", "_mul_lut", "_inv_lut")
+    With g the canonical generator, ``_exp[k]`` = g^k, stored twice over so a
+    sum of two logs needs no reduction; ``_log`` inverts it, -1 at zero; and
+    the Zech log ``_zech[k]`` = log(1 + g^k), -1 where 1 + g^k = 0, also twice
+    over so any difference of two logs indexes it.  A new field is an
+    ``_UnbuiltField``, which builds them on first arithmetic.
+    """
+
+    __slots__ = ("p", "e", "q", "modulus", "_hash", "_log_neg_one", "_mult_table",
+                 "_trace_basis", "_exp", "_log", "_zech")
+
+    def __new__(cls, p: int, e: int, modulus: tuple[int, ...]):
+        return object.__new__(_UnbuiltField)
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
@@ -179,11 +188,9 @@ class Field:
         self.q = p**e
         self.modulus = tuple(modulus)
         self._hash = hash((p, self.modulus))
+        # -1 = g^((q-1)/2) for odd p; -1 = 1 in characteristic 2
+        self._log_neg_one = 0 if p == 2 else (self.q - 1) // 2
         self._mult_table = None
-        self._trace_basis = None
-        self._add_lut = None
-        self._mul_lut = None
-        self._inv_lut = None
 
     def __eq__(self, other):
         if self is other:
@@ -239,118 +246,122 @@ class Field:
 
     # -- encoding-level arithmetic --------------------------------------------
     # Integers in [0, q); these are the hot-loop primitives.
+    # g^la + g^lb = g^(la + zech[lb - la]).
 
     def add_enc(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        lut = self._add_lut
-        if lut is not None:
-            return lut[a * self.q + b]
-        p = self.p
-        return self.coeffs_to_enc(
-            [(x + y) % p for x, y in zip(self.enc_to_coeffs(a), self.enc_to_coeffs(b))]
-        )
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg_enc(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        return self.coeffs_to_enc([(-x) % p for x in self.enc_to_coeffs(a)])
+        return self._exp[self._log[a] + self._log_neg_one] if a else 0
 
     def sub_enc(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a - b) % self.p
-        return self.add_enc(a, self.neg_enc(b))
+        """a - b, the Zech step of ``add_enc`` on log(-b) = log b + log(-1)."""
+        if not b:
+            return a
+        log = self._log
+        lb = log[b] + self._log_neg_one
+        if not a:
+            return self._exp[lb]
+        la = log[a]
+        z = self._zech[lb - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def mul_enc(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        lut = self._mul_lut
-        if lut is not None:
-            return lut[a * self.q + b]
-        if a == 0 or b == 0:
-            return 0
-        prod = _poly_mulmod(
-            list(self.enc_to_coeffs(a)), list(self.enc_to_coeffs(b)),
-            list(self.modulus), self.p,
-        )
-        return self.coeffs_to_enc(prod)
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def inv_enc(self, a: int) -> int:
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inversion of zero field element")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        lut = self._inv_lut
-        if lut is not None:
-            return lut[a]
-        return self.pow_enc(a, self.q - 2)
+        return self._exp[-self._log[a]]
 
     def pow_enc(self, a: int, k: int) -> int:
+        if a:
+            return self._exp[self._log[a] * k % (self.q - 1)]
         if k < 0:
-            a = self.inv_enc(a)
-            k = -k
-        if a == 0:
-            return 0 if k else 1
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul_enc(result, base)
-            k >>= 1
-            if k:
-                base = self.mul_enc(base, base)
-        return result
+            raise ZeroDivisionError("inversion of zero field element")
+        return 0 if k else 1
 
     def trace_enc(self, a: int) -> int:
         """Trace down to F_p, as an integer in [0, p)."""
-        if self.e == 1:
-            return a
-        basis = self._trace_basis
-        if basis is None:
-            basis = self._compute_trace_basis()
-        coeffs = self.enc_to_coeffs(a)
-        return sum(c * t for c, t in zip(coeffs, basis)) % self.p
+        p = self.p
+        t = 0
+        for b in self._trace_basis:
+            t += a % p * b
+            a //= p
+        return t % p
 
     def _compute_trace_basis(self) -> tuple[int, ...]:
+        """tr(x^i) = sum of (x^i)^(p^j) for i < e; the trace is F_p-linear."""
         basis = []
         for i in range(self.e):
-            enc = self.p**i
-            acc = enc
-            t = enc
-            for _ in range(self.e - 1):
-                t = self.pow_enc(t, self.p)
-                acc = self.add_enc(acc, t)
+            acc = 0
+            for j in range(self.e):
+                acc = self.add_enc(acc, self.pow_enc(self.p**i, self.p**j))
             if acc >= self.p:
                 raise AssertionError("trace left the prime subfield")
             basis.append(acc)
-        self._trace_basis = tuple(basis)
-        return self._trace_basis
+        return tuple(basis)
 
-    def ensure_tables(self) -> None:
-        """Precompute encoding lookup tables; only worthwhile for small q."""
-        if self.e == 1 or self.q > _LUT_MAX_Q or self._mul_lut is not None:
-            return
-        q = self.q
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        coeffs = [self.enc_to_coeffs(a) for a in range(q)]
-        p = self.p
-        modulus = list(self.modulus)
-        for a in range(q):
-            ca = list(coeffs[a])
-            base = a * q
-            for b in range(q):
-                cb = coeffs[b]
-                add[base + b] = self.coeffs_to_enc([(x + y) % p for x, y in zip(ca, cb)])
-                if a and b:
-                    mul[base + b] = self.coeffs_to_enc(_poly_mulmod(ca, list(cb), modulus, p))
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow_enc(a, q - 2)
-        self._add_lut = add
-        self._mul_lut = mul
-        self._inv_lut = inv
+
+class _UnbuiltField(Field):
+    """A Field before its first arithmetic, which makes it a plain Field.
+
+    Only this class has ``__getattr__``, which would cost every attribute
+    read the interpreter's fast path: about twice the time per operation.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only for an unset slot
+        if name not in ("_exp", "_log", "_zech", "_trace_basis"):
+            raise AttributeError(name)
+        self._exp, self._log, self._zech = _build_tables(self)
+        self.__class__ = Field
+        self._trace_basis = self._compute_trace_basis()
+        return getattr(self, name)
+
+
+def _build_tables(field: Field) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The antilog, log and Zech tables of F_q, by polynomial arithmetic.
+
+    The generator g is the first element in encoding order of full order,
+    i.e. with g^((q-1)/r) != 1 for every prime r dividing q-1.
+    """
+    p, q = field.p, field.q
+    modulus = list(field.modulus)
+    one = [1] + [0] * (field.e - 1)
+    factors = distinct_prime_factors(q - 1)
+    for g in range(1, q):
+        digits = list(field.enc_to_coeffs(g))
+        if all(_poly_powmod(digits, (q - 1) // r, modulus, p) != one for r in factors):
+            break
+    else:
+        raise RuntimeError("no generator found")  # unreachable: F_q^* is cyclic
+    digits = _poly_trim(digits)
+    exp = [0] * (q - 1)
+    log = [-1] * q
+    acc = one
+    for k in range(q - 1):
+        enc = field.coeffs_to_enc(acc)
+        exp[k] = enc
+        log[enc] = k
+        acc = _poly_mulmod(acc, digits, modulus, p)
+    if acc != one:
+        raise AssertionError("generator order is not q - 1")
+    # 1 + x differs from x only in its constant digit
+    zech = [log[x - x % p + (x + 1) % p] for x in exp]
+    return tuple(exp * 2), tuple(log), tuple(zech * 2)
 
 
 class FieldElement:
@@ -429,7 +440,8 @@ class FieldElement:
 class MultGroupTable:
     """A generator of F_q^* together with the full discrete-log table.
 
-    ``dlog`` is indexed by canonical encoding; the entry for zero is -1.
+    ``dlog`` is the field's own log table, indexed by canonical encoding; the
+    entry for zero is -1.
     generator ** dlog[x] == x for every nonzero x.
     """
 
@@ -444,35 +456,16 @@ class MultGroupTable:
 
 
 def build_mult_table(field: Field) -> MultGroupTable:
-    """Find the canonical generator of F_q^* and tabulate discrete logs.
+    """The canonical generator of F_q^* and the discrete-log table.
 
-    The generator is the first element in encoding order of full order,
-    i.e. with g^((q-1)/r) != 1 for every prime r dividing q-1.  A field
-    whose character values would need a ring Z[zeta_m], m = p*(q-1), past
-    the cyclotomic bound is rejected before any table work.
+    A field whose character values would need a ring Z[zeta_m],
+    m = p*(q-1), past the cyclotomic bound is rejected before any table
+    work; otherwise this wraps the field's own antilog and log tables.
     """
-    if field._mult_table is not None:
-        return field._mult_table
-    q = field.q
-    check_order(field.p * (q - 1))
-    factors = distinct_prime_factors(q - 1)
-    gen_enc = None
-    for g in range(1, q):
-        if all(field.pow_enc(g, (q - 1) // r) != 1 for r in factors):
-            gen_enc = g
-            break
-    if gen_enc is None:
-        raise RuntimeError("no generator found")  # unreachable: F_q^* is cyclic
-    dlog = [-1] * q
-    acc = 1
-    for k in range(q - 1):
-        dlog[acc] = k
-        acc = field.mul_enc(acc, gen_enc)
-    if acc != 1:
-        raise AssertionError("generator order is not q - 1")
-    table = MultGroupTable(field, field.element(gen_enc), tuple(dlog))
-    field._mult_table = table
-    return table
+    if field._mult_table is None:
+        check_order(field.p * (field.q - 1))
+        field._mult_table = MultGroupTable(field, field.element(field._exp[1]), field._log)
+    return field._mult_table
 
 
 @lru_cache(maxsize=None)
@@ -480,15 +473,16 @@ def _make_field_cached(p: int, e: int) -> Field:
     return Field(p, e, _first_irreducible(p, e))
 
 
-def make_field(p: int, e: int = 1, max_q: int = DEFAULT_MAX_Q) -> Field:
+def make_field(p: int, e: int = 1) -> Field:
     """Construct F_{p^e} with the deterministic modulus choice.
 
-    Raises ValueError for non-prime p, e < 1, or p**e beyond max_q.
+    Raises ValueError for non-prime p, e < 1, or p**e beyond DEFAULT_MAX_Q.
+    No table is built here; see ``Field``.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
-    if p**e > max_q:
-        raise ValueError(f"field size {p}^{e} exceeds the budget of {max_q}")
+    if p**e > DEFAULT_MAX_Q:
+        raise ValueError(f"field size {p}^{e} exceeds the budget of {DEFAULT_MAX_Q}")
     return _make_field_cached(p, e)

@@ -147,9 +147,9 @@ def gl_gauss_closed(U: MatrixFq, chi: MultiplicativeCharacter,
         raise ValueError("the closed form requires a nontrivial additive character")
     n = U.n
     q = f.q
+    ring = value_ring(f)  # a ring past MAX_ORDER fails before any field table
     u = U.rank()
     c2 = math.comb(n, 2)
-    ring = value_ring(f)
     if u == n:
         val = classical_gauss_sum(chi, lam) ** n
         if not chi.is_trivial:
@@ -170,9 +170,9 @@ def sl_gauss_closed(U: MatrixFq, lam: AdditiveCharacter) -> CyclotomicInteger:
         raise ValueError("the closed form requires a nontrivial additive character")
     n = U.n
     q = f.q
+    ring = value_ring(f)  # a ring past MAX_ORDER fails before any field table
     u = U.rank()
     c2 = math.comb(n, 2)
-    ring = value_ring(f)
     if u == n:
         return q**c2 * kloosterman(lam, n, U.det())
     prod = 1

@@ -347,7 +347,6 @@ def _gl_blocks(field: Field, n: int) -> Iterator[list[tuple[tuple[int, ...], int
     are dependent, and then the prefix is skipped.
     """
     q = field.q
-    field.ensure_tables()
     mul, add, neg = field.mul_enc, field.add_enc, field.neg_enc
     # addition table; a 1 x 1 walk (whose q may be large) reads only row 0
     adds = [[add(a, b) for b in range(q)] for a in range(q if n > 1 else 1)]

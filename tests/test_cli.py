@@ -172,6 +172,23 @@ class TestBench:
             assert (n, q) == ("2", "2")
             assert float(us) >= 0
 
+    def test_every_repeat_walks_the_group_again(self, capsys, monkeypatch):
+        # a repeat that read the member cache would time a lookup, not a walk
+        from matgauss import matrix_fq
+
+        walks = []
+        real = matrix_fq._gl_blocks
+
+        def counting(field, n):
+            walks.append((field.q, n))
+            return real(field, n)
+
+        monkeypatch.setattr(matrix_fq, "_gl_blocks", counting)
+        code, _, _ = run(capsys, "bench", "--p", "3", "--n", "2", "--repeat", "2")
+        assert code == 0
+        # gl_bruteforce and sl_bruteforce each walk GL_2(F_3) once per repeat
+        assert walks == [(3, 2)] * 4
+
 
 class TestOutputFile:
     def test_writes_to_path(self, capsys, tmp_path):

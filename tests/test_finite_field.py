@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
+from matgauss import finite_field
 from matgauss.finite_field import (
     Field,
+    _poly_mulmod,
     build_mult_table,
     is_prime,
     make_field,
 )
+from matgauss.gauss_sums import count_trace_closed, factor_prime_power
 
 
 def brute_irreducible(coeffs, p):
@@ -120,6 +125,86 @@ class TestArithmetic:
                 assert x * (y + z) == x * y + x * z
 
 
+def digits(f, a):
+    return [a // f.p**i % f.p for i in range(f.e)]
+
+
+def from_digits(f, ds):
+    return sum(d * f.p**i for i, d in enumerate(ds))
+
+
+def ref_add(f, a, b):
+    return from_digits(f, [(x + y) % f.p for x, y in zip(digits(f, a), digits(f, b))])
+
+
+def ref_neg(f, a):
+    return from_digits(f, [-x % f.p for x in digits(f, a)])
+
+
+def ref_mul(f, a, b):
+    return from_digits(f, _poly_mulmod(digits(f, a), digits(f, b), list(f.modulus), f.p))
+
+
+def ref_pow(f, a, k):
+    """a^k for k >= 0 by k polynomial products."""
+    acc = 1
+    for _ in range(k):
+        acc = ref_mul(f, acc, a)
+    return acc
+
+
+def check_ops_against_definition(f, pairs):
+    for a, b in pairs:
+        assert f.add_enc(a, b) == ref_add(f, a, b)
+        assert f.sub_enc(a, b) == ref_add(f, a, ref_neg(f, b))
+        assert f.mul_enc(a, b) == ref_mul(f, a, b)
+
+
+def check_unary_ops_against_definition(f, elems, exponents):
+    for a in elems:
+        assert f.neg_enc(a) == ref_neg(f, a)
+        assert f.add_enc(a, f.neg_enc(a)) == 0
+        if f.p == 2:
+            assert f.add_enc(a, a) == 0
+        for k in exponents:
+            assert f.pow_enc(a, k) == ref_pow(f, a, k)
+        if a:
+            assert ref_mul(f, a, f.inv_enc(a)) == 1
+            for k in (-1, -2, -5):
+                assert ref_mul(f, f.pow_enc(a, k), ref_pow(f, a, -k)) == 1
+
+
+class TestAgainstPolynomialDefinition:
+    """The log/antilog/Zech tables against digit-wise sums and polynomial
+    products; a wrong but self-consistent table would pass the axiom tests."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 31, 32])
+    def test_every_pair(self, q):
+        f = make_field(*factor_prime_power(q))
+        elems = range(q)
+        check_ops_against_definition(f, [(a, b) for a in elems for b in elems])
+        check_unary_ops_against_definition(f, elems, (0, 1, 2, 3, 7, q - 1, q, 2 * q + 1))
+
+    @pytest.mark.parametrize("q", [243, 1024])
+    def test_seeded_pairs(self, q):
+        f = make_field(*factor_prime_power(q))
+        rng = random.Random(q)
+        elems = [0, 1, q - 1] + [rng.randrange(q) for _ in range(40)]
+        edges = elems[:3]
+        pairs = [(a, b) for a in edges for b in elems] + [(b, a) for a in edges for b in elems]
+        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+        check_ops_against_definition(f, pairs)
+        check_unary_ops_against_definition(f, elems, (0, 1, 2, 3, 7, 100))
+
+    def test_zero_power(self):
+        for q in (2, 9, 31):
+            f = make_field(*factor_prime_power(q))
+            assert f.pow_enc(0, 0) == 1
+            assert f.pow_enc(0, 3) == 0
+            with pytest.raises(ZeroDivisionError):
+                f.pow_enc(0, -1)
+
+
 class TestTrace:
     def test_trace_of_zero(self):
         for p, e in [(2, 2), (3, 2), (5, 1)]:
@@ -186,12 +271,32 @@ class TestMultTable:
         def unreachable(self, *args):
             raise AssertionError("dlog table work for a field that cannot be evaluated")
 
+        f = make_field(2, 19)  # the modulus search itself uses _poly_powmod
         for name in ("mul_enc", "pow_enc"):
             monkeypatch.setattr(Field, name, unreachable)
-        f = make_field(2, 19)
+        for name in ("_poly_mulmod", "_poly_powmod", "_build_tables"):
+            monkeypatch.setattr(finite_field, name, unreachable)
         with pytest.raises(ValueError, match="order 1048574 exceeds the supported bound"):
             build_mult_table(f)
         assert f._mult_table is None
+        assert_no_tables(f)
+
+    def test_largest_field_and_its_trace_count_build_no_table(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("field tables built where no arithmetic is needed")
+
+        monkeypatch.setattr(finite_field, "_build_tables", unreachable)
+        f = make_field(2, 20)
+        assert count_trace_closed(f, 2, f.zero()) > 0
+        assert count_trace_closed(f, 3, f.one()) > 0
+        assert_no_tables(f)
+
+
+def assert_no_tables(f):
+    # read the slots directly: a plain attribute read would build them
+    for name in ("_exp", "_log", "_zech"):
+        with pytest.raises(AttributeError):
+            getattr(Field, name).__get__(f, Field)
 
 
 class TestEnumeration:
