@@ -247,6 +247,7 @@ def _cmd_bench(args) -> int:
         ("sl_bruteforce", lambda: sl_gauss_bruteforce(U, lam)),
         ("kloosterman_dp", lambda: kloosterman(lam, n, one)),
         ("kloosterman_enum", lambda: kloosterman_bruteforce(lam, n, one)),
+        ("count_bruteforce", lambda: count_trace_bruteforce(fld, n, fld.zero())),
     ]
     lines = ["operation,n,q,microseconds"]
     for name, fn in ops:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 from operator import getitem
 
 from .budget import check_budget
@@ -37,11 +38,10 @@ from .finite_field import Field, FieldElement, build_mult_table, is_prime, make_
 from .matrix_fq import (
     MatrixFq,
     canonical_rank_matrix,
-    gl_members,
+    gl_blocks,
     random_invertible,
     random_matrix,
     random_rank_matrix,
-    sl_members,
 )
 
 CASE_FULL_RANK = "full-rank"
@@ -185,24 +185,46 @@ def sl_gauss_closed(U: MatrixFq, lam: AdditiveCharacter) -> CyclotomicInteger:
 # Brute-force oracles.
 
 
-def _character_sum(members, U: MatrixFq, chi: MultiplicativeCharacter | None,
+def _character_sum(blocks, U: MatrixFq, chi: MultiplicativeCharacter | None,
                    lam: AdditiveCharacter) -> CyclotomicInteger:
-    """Literal sum of chi(det X) * lambda(U . X) over the member stream."""
+    """Literal sum of chi(det X) * lambda(U . X) over a group's blocks.
+
+    With chi None the sum runs over SL_n: only the members with det X = 1.
+    lambda(U . X) splits by rows, so each block's prefix adds one exponent E
+    and the k-th last row adds L[k]; every member then adds its own term.
+    """
     f = U.field
     ring = value_ring(f)
     m = ring.m
     q1 = f.q - 1
+    head = U.n * (U.n - 1)
     # lambda_a(U . X) = zeta_p^tr((aU) . X) and the trace is F_p-linear, so
     # entry i adds (q-1) * tr(aU_i * x_i) to the exponent: one table per entry
     a = lam.a.enc
     tables = [[q1 * t for t in _trace_table(f, f.mul_enc(a, u))] for row in U.rows for u in row]
-    if chi is None or chi.is_trivial:
-        det_exps = [0] * f.q
+    # the last row's exponents in itertools.product order, x[0] the most significant
+    last = [0]
+    for table in tables[head:]:
+        last = [e + t for e in last for t in table]
+    last = [e % m for e in last]
+    counts = [0] * (3 * m)  # E + L[k] + det exponent < 3m; from_power_counts wraps
+    if chi is None:
+        for prefix, _tr, dets in blocks:
+            e = sum(map(getitem, tables, prefix)) % m
+            for k in compress(last, map((1).__eq__, dets)):
+                counts[e + k] += 1
+    elif chi.is_trivial:
+        for prefix, _tr, dets in blocks:
+            e = sum(map(getitem, tables, prefix)) % m
+            for k in compress(last, dets):
+                counts[e + k] += 1
     else:
         det_exps = [f.p * (chi.index * k % q1) for k in chi.table.dlog]
-    counts = [0] * m
-    for flat, det, _tr in members:
-        counts[(sum(map(getitem, tables, flat)) + det_exps[det]) % m] += 1
+        for prefix, _tr, dets in blocks:
+            e = sum(map(getitem, tables, prefix)) % m
+            for k, d in zip(last, dets):
+                if d:
+                    counts[e + k + det_exps[d]] += 1
     return ring.from_power_counts(counts)
 
 
@@ -213,14 +235,14 @@ def gl_gauss_bruteforce(U: MatrixFq, chi: MultiplicativeCharacter,
     Unlike the closed form, this accepts a trivial lambda (it is just a sum).
     """
     f = _require_shared_field(U, lam, chi)
-    return _character_sum(gl_members(f, U.n, budget), U, chi, lam)
+    return _character_sum(gl_blocks(f, U.n, budget), U, chi, lam)
 
 
 def sl_gauss_bruteforce(U: MatrixFq, lam: AdditiveCharacter,
                         budget: int | None = None) -> CyclotomicInteger:
     """Literal sum over all of SL_n; the oracle for sl_gauss_closed."""
     f = _require_shared_field(U, lam, None)
-    return _character_sum(sl_members(f, U.n, budget), U, None, lam)
+    return _character_sum(gl_blocks(f, U.n, budget), U, None, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +281,12 @@ def count_trace_bruteforce(field: Field, n: int, beta: FieldElement,
     """Direct count over the GL_n enumeration; the oracle for the formulas."""
     if beta.field != field:
         raise ValueError("trace value from a different field")
-    target = beta.enc
-    return sum(1 for _flat, _det, tr in gl_members(field, n, budget) if tr == target)
+    # tr X is the prefix trace plus x[n-1], and x[n-1] = c exactly at the
+    # last rows k = c mod q, of which q^(n-1) - (singular ones) are members
+    q = field.q
+    width = q ** (n - 1)
+    return sum(width - dets[field.sub_enc(beta.enc, tr)::q].count(0)
+               for _prefix, tr, dets in gl_blocks(field, n, budget))
 
 
 # ---------------------------------------------------------------------------

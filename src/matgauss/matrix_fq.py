@@ -8,8 +8,11 @@ enumeration of GL_n and SL_n.
 Enumeration walks GL_n row by row, in lexicographic order of the flattened
 entry encodings: each (n-1)-row prefix gets its cofactor vector w once, and
 det(X) = <w, x> is tabulated over every last row x, so no candidate needs an
-elimination.  The compact member stream from ``gl_members``/``sl_members`` is
-the single source of truth for every brute-force oracle in this package.
+elimination.  A group is a list of blocks (prefix, prefix trace, dets), one per
+independent prefix, with dets[k] = det(X) for the k-th last row; groups under
+a size cap keep their blocks in a cache.  The brute-force oracles read the
+blocks directly, and ``gl_members``/``sl_members`` flatten them into the
+(flat entries, det, trace) member stream.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "sl_rank_normal_form",
     "enumerate_gl",
     "enumerate_sl",
+    "gl_blocks",
     "gl_members",
     "sl_members",
     "canonical_rank_matrix",
@@ -38,7 +42,11 @@ __all__ = [
 
 MAX_DIMENSION = 8
 
-# cap (in stored ints) on the cached compact enumeration of one group
+# cap (in stored ints) on the cached blocks of one group: q^(n(n-1)) prefixes
+# of n(n-1) entries plus q^n dets each, about q^(n*n) ints.  Measured with
+# tracemalloc, GL_3(F_5) (2.0e6 ints) retains 17.9 MB and GL_2(F_29)
+# (7.1e5 ints) 5.8 MB, about 9 bytes an int, so a cached group stays
+# under about 36 MB.
 _MEMBER_CACHE_MAX_INTS = 4_000_000
 
 _GL_CACHE: dict[tuple[Field, int], tuple] = {}
@@ -217,6 +225,8 @@ def _det_rows(field: Field, work: list[list[int]]) -> int:
             det = neg(det)
         pv = work[col][col]
         det = mul(det, pv)
+        if col == n - 1:
+            break
         pinv = inv(pv)
         prow = work[col]
         for i in range(col + 1, n):
@@ -337,21 +347,22 @@ def sl_rank_normal_form(U: MatrixFq) -> tuple[MatrixFq, MatrixFq, int]:
 # Exhaustive enumeration.
 
 
-def _gl_blocks(field: Field, n: int) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
-    """GL_n(F_q) walked row by row: one list of members per (n-1)-row prefix.
+def _gl_blocks(field: Field, n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """GL_n(F_q) walked row by row: one block per independent (n-1)-row prefix.
 
-    Prefixes come in lexicographic order, and so do the last rows within a
-    prefix, so the blocks chain into the lexicographic member stream.  The
-    signed (n-1)-minors of a prefix form its cofactor vector w, with
-    det(X) = <w, x> for every last row x; w = 0 exactly when the prefix rows
-    are dependent, and then the prefix is skipped.
+    A block is (prefix, prefix trace, dets), where dets[k] is det(X) for the
+    k-th last row x in ``itertools.product`` order, 0 where X is singular.
+    Prefixes come in lexicographic order, so the blocks chain into the
+    lexicographic member stream.  The signed (n-1)-minors of a prefix form
+    its cofactor vector w, with det(X) = <w, x> for every last row x; w = 0
+    exactly when the prefix rows are dependent, and then the prefix is
+    skipped.  The prefix trace is the sum of the first n - 1 diagonal
+    entries, so tr(X) adds x[n-1] to it.
     """
     q = field.q
     mul, add, neg = field.mul_enc, field.add_enc, field.neg_enc
     # addition table; a 1 x 1 walk (whose q may be large) reads only row 0
     adds = [[add(a, b) for b in range(q)] for a in range(q if n > 1 else 1)]
-    last_rows = list(itertools.product(range(q), repeat=n))
-    cycles = q ** (n - 1)
     for prefix in itertools.product(range(q), repeat=(n - 1) * n):
         rows = [prefix[i * n:(i + 1) * n] for i in range(n - 1)]
         w = [_det_rows(field, [list(r[:j] + r[j + 1:]) for r in rows]) for j in range(n)]
@@ -367,18 +378,15 @@ def _gl_blocks(field: Field, n: int) -> Iterator[list[tuple[tuple[int, ...], int
         tr = 0
         for i in range(n - 1):
             tr = adds[tr][rows[i][i]]
-        # x[n-1] cycles fastest through the last rows
-        traces = adds[tr] * cycles
-        yield [(prefix + x, d, t) for x, d, t in zip(last_rows, dets, traces) if d]
+        yield prefix, tr, tuple(dets)
 
 
-def gl_members(field: Field, n: int, budget: int | None = None):
-    """Compact GL_n(F_q) stream: (flat entries, det encoding, trace encoding).
+def gl_blocks(field: Field, n: int, budget: int | None = None):
+    """The blocks of ``_gl_blocks``, cached for groups under the cap.
 
-    Yields each invertible matrix exactly once, in lexicographic order of the
-    flattened entry encodings, from the row walk of ``_gl_blocks``.  The
-    budget still counts all q^(n*n) candidates.  Small groups are cached;
-    callers must treat the result as read-only.
+    The budget still counts all q^(n*n) candidates.  A cached group comes
+    back as a tuple, which callers must treat as read-only; a larger one is
+    walked afresh on every call.
     """
     q = field.q
     check_budget(q ** (n * n), budget, f"enumerating GL_{n}(F_{q})")
@@ -386,16 +394,37 @@ def gl_members(field: Field, n: int, budget: int | None = None):
     hit = _GL_CACHE.get(key)
     if hit is not None:
         return hit
-    expected = 1
-    qn = q**n
-    for i in range(n):
-        expected *= qn - q**i
-    walk = itertools.chain.from_iterable(_gl_blocks(field, n))
-    if expected * (n * n + 2) <= _MEMBER_CACHE_MAX_INTS:
+    walk = _gl_blocks(field, n)
+    head = n * (n - 1)
+    if q**head * (head + q**n) <= _MEMBER_CACHE_MAX_INTS:
         data = tuple(walk)
         _GL_CACHE[key] = data
         return data
     return walk
+
+
+def gl_members(field: Field, n: int,
+               budget: int | None = None) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Compact GL_n(F_q) stream: (flat entries, det encoding, trace encoding).
+
+    Yields each invertible matrix exactly once, in lexicographic order of the
+    flattened entry encodings, by flattening ``gl_blocks``.  A group under
+    the cap is walked into the cache when this is called, not when the
+    stream is first read.
+    """
+    return _flatten(field, n, gl_blocks(field, n, budget))
+
+
+def _flatten(field: Field, n: int, blocks) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    q, add = field.q, field.add_enc
+    last_rows = list(itertools.product(range(q), repeat=n))
+    cycles = q ** (n - 1)
+    for prefix, tr, dets in blocks:
+        # x[n-1] cycles fastest through the last rows
+        traces = [add(tr, c) for c in range(q)] * cycles
+        for x, d, t in zip(last_rows, dets, traces):
+            if d:
+                yield prefix + x, d, t
 
 
 def sl_members(field: Field, n: int, budget: int | None = None):

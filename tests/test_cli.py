@@ -165,7 +165,7 @@ class TestBench:
         ops = [line.split(",")[0] for line in lines[1:]]
         assert ops == [
             "gl_closed", "gl_bruteforce", "sl_closed", "sl_bruteforce",
-            "kloosterman_dp", "kloosterman_enum",
+            "kloosterman_dp", "kloosterman_enum", "count_bruteforce",
         ]
         for line in lines[1:]:
             _, n, q, us = line.split(",")
@@ -186,8 +186,9 @@ class TestBench:
         monkeypatch.setattr(matrix_fq, "_gl_blocks", counting)
         code, _, _ = run(capsys, "bench", "--p", "3", "--n", "2", "--repeat", "2")
         assert code == 0
-        # gl_bruteforce and sl_bruteforce each walk GL_2(F_3) once per repeat
-        assert walks == [(3, 2)] * 4
+        # gl_bruteforce, sl_bruteforce and count_bruteforce each walk
+        # GL_2(F_3) once per repeat
+        assert walks == [(3, 2)] * 6
 
 
 class TestOutputFile:

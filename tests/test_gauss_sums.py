@@ -1,9 +1,11 @@
 import math
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
+from matgauss import matrix_fq
 from matgauss.budget import EnumerationBudgetError
 from matgauss.characters import (
     AdditiveCharacter,
@@ -27,9 +29,11 @@ from matgauss.gauss_sums import (
 )
 from matgauss.matrix_fq import (
     MatrixFq,
+    clear_member_cache,
     enumerate_gl,
     enumerate_sl,
     frobenius_product,
+    gl_members,
     random_rank_matrix,
 )
 
@@ -162,6 +166,61 @@ class TestOracleSums:
                     for (d, t), count in gl.items():
                         expected = expected + count * chi(d) * lam(t)
                     assert gl_gauss_bruteforce(U, chi, lam) == expected, (U, j, a)
+
+
+@lru_cache(maxsize=None)
+def per_member_reference(q, n):
+    """Test matrices U for GL_n(F_q) with every member tallied per U.
+
+    The U are a full-rank one, a rank-deficient one and one whose last row
+    is zero.  Per U the GL members are tallied by (det X, U . X), with det X
+    from elimination, and the SL members by U . X; the trace tally counts
+    the trace field of ``gl_members``.
+    """
+    p, e = factor_prime_power(q)
+    f = make_field(p, e)
+    rng = random.Random(f"block-oracles:{q}:{n}")
+    deficient = random_rank_matrix(f, n, n - 1, rng)
+    zero_last = [list(row) for row in random_rank_matrix(f, n, n, rng).rows]
+    zero_last[-1] = [0] * n
+    mats = (random_rank_matrix(f, n, n, rng), deficient, MatrixFq(f, zero_last))
+    gl = [Counter((X.det(), frobenius_product(U, X)) for X in enumerate_gl(f, n)) for U in mats]
+    sl = [Counter(frobenius_product(U, X) for X in enumerate_sl(f, n)) for U in mats]
+    traces = Counter(tr for _flat, _det, tr in gl_members(f, n))
+    return f, mats, gl, sl, traces, rng.randrange(1, q)
+
+
+class TestBlockOracles:
+    """The block-by-block oracles against a per-member sum, on both paths."""
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "streaming"])
+    @pytest.mark.parametrize("q,n", [
+        (2, 2), (3, 2), (4, 2), (5, 2), (8, 2), (9, 2), (2, 3), (3, 3), (5, 1),
+    ])
+    def test_against_the_per_member_sum(self, q, n, cached, monkeypatch):
+        f, mats, gl, sl, traces, twist = per_member_reference(q, n)
+        if not cached:
+            monkeypatch.setattr(matrix_fq, "_MEMBER_CACHE_MAX_INTS", 0)
+        clear_member_cache()
+        ring = value_ring(f)
+        table = build_mult_table(f)
+        lam = AdditiveCharacter(f.element(twist))
+        for U, gl_tally, sl_tally in zip(mats, gl, sl):
+            assert sum(gl_tally.values()) == gl_order(f, n)
+            assert sum(sl_tally.values()) == sl_order(f, n)
+            expected = ring.zero()
+            for t, count in sl_tally.items():
+                expected = expected + count * lam(t)
+            assert sl_gauss_bruteforce(U, lam) == expected, U
+            for j in range(q - 1):
+                chi = MultiplicativeCharacter(table, j)
+                expected = ring.zero()
+                for (d, t), count in gl_tally.items():
+                    expected = expected + count * chi(d) * lam(t)
+                assert gl_gauss_bruteforce(U, chi, lam) == expected, (U, j)
+        assert ((f, n) in matrix_fq._GL_CACHE) == cached
+        for beta in f.elements():
+            assert count_trace_bruteforce(f, n, beta) == traces[beta.enc], beta
 
 
 class TestOrders:

@@ -1,12 +1,14 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 
 from matgauss import matrix_fq
 from matgauss.budget import EnumerationBudgetError
-from matgauss.finite_field import make_field
+from matgauss.finite_field import Field, make_field
 from matgauss.matrix_fq import (
     MatrixFq,
     canonical_rank_matrix,
@@ -274,12 +276,50 @@ class TestRowWalk:
         f = make_field(p, e)
         clear_member_cache()
         members = gl_members(f, n)
-        assert isinstance(members, tuple) == cached
+        # the call itself fills the block cache, before the stream is read
+        assert isinstance(matrix_fq._GL_CACHE.get((f, n)), tuple) == cached
         assert ((f, n) in matrix_fq._GL_CACHE) == cached
         expected = reference_members(p, e, n)
         assert tuple(members) == expected
         assert len(expected) == order_gl(f.q, n)
         assert tuple(sl_members(f, n)) == tuple(m for m in expected if m[1] == 1)
+
+
+class TestBlockCache:
+    def test_cached_group_retains_under_a_megabyte(self):
+        # one block per independent prefix: (prefix, trace, q^n dets), not
+        # one (flat, det, trace) tuple per member (3.6 MB for this group)
+        f = make_field(13)
+        f.mul_enc(2, 3)  # the field's own tables are not the cache's
+        clear_member_cache()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            gl_members(f, 2)
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(matrix_fq._GL_CACHE[(f, 2)], tuple)
+        assert retained < 1_000_000
+        clear_member_cache()
+
+
+def test_det_does_not_invert_the_last_pivot(monkeypatch):
+    f = make_field(31)
+    calls = []
+    real = Field.inv_enc
+
+    def counting(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(Field, "inv_enc", counting)
+    rows = [[0, 3, 5], [7, 1, 2], [4, 9, 11]]  # the first column needs a swap
+    det = MatrixFq(f, rows).det().enc
+    (a, b, c), (d, e, g), (h, i, j) = rows
+    assert det == (a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)) % 31
+    assert len(calls) == 2
 
 
 class TestRandomSampling:
