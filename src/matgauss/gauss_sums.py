@@ -213,13 +213,8 @@ def _character_sum(blocks, U: MatrixFq, chi: MultiplicativeCharacter | None,
             e = sum(map(getitem, tables, prefix)) % m
             for k in compress(last, map((1).__eq__, dets)):
                 counts[e + k] += 1
-    elif chi.is_trivial:
-        for prefix, _tr, dets in blocks:
-            e = sum(map(getitem, tables, prefix)) % m
-            for k in compress(last, dets):
-                counts[e + k] += 1
     else:
-        det_exps = [f.p * (chi.index * k % q1) for k in chi.table.dlog]
+        det_exps = [f.p * (chi.index * k % q1) for k in chi.table.dlog]  # all 0 for a trivial chi
         for prefix, _tr, dets in blocks:
             e = sum(map(getitem, tables, prefix)) % m
             for k, d in zip(last, dets):
