@@ -60,9 +60,7 @@ from .matrix_fq import (
     random_invertible,
     random_matrix,
     random_rank_matrix,
-    rank_normal_form,
     sl_members,
-    sl_rank_normal_form,
 )
 
 __version__ = "0.1.0"

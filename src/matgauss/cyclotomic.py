@@ -28,18 +28,19 @@ from functools import lru_cache
 MAX_ORDER = 10**6
 
 
-def _factor_squarefree_part(m: int) -> list[int]:
-    primes = []
+def distinct_prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, ascending (empty for n <= 1)."""
+    out = []
     f = 2
-    while f * f <= m:
-        if m % f == 0:
-            primes.append(f)
-            while m % f == 0:
-                m //= f
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
         f += 1 if f == 2 else 2
-    if m > 1:
-        primes.append(m)
-    return primes
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _mul_by_x_pow_minus_one(poly: list[int], d: int) -> list[int]:
@@ -62,7 +63,7 @@ def _moebius_product(m: int, cofactor: bool = False) -> list[int]:
     (x^(m/t) - 1)^mu(t); the cofactor negates every exponent and skips t = 1.
     All multiplications come first, so every division is exact.
     """
-    primes = _factor_squarefree_part(m)
+    primes = distinct_prime_factors(m)
     mul_degrees: list[int] = []
     div_degrees: list[int] = []
     for mask in range(1 if cofactor else 0, 1 << len(primes)):

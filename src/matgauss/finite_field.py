@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .cyclotomic import check_order
+from .cyclotomic import check_order, distinct_prime_factors
 
 DEFAULT_MAX_Q = 2**20
 
@@ -38,21 +38,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def distinct_prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending (empty for n <= 1)."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +194,6 @@ class Field:
 
     def element(self, encoding: int) -> "FieldElement":
         return FieldElement(self, encoding)
-
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        cs = [c % self.p for c in coeffs]
-        if len(cs) > self.e:
-            raise ValueError(f"expected at most {self.e} coefficients")
-        cs.extend([0] * (self.e - len(cs)))
-        return FieldElement(self, self.coeffs_to_enc(cs))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -448,11 +426,6 @@ class MultGroupTable:
     field: Field
     generator: FieldElement
     dlog: tuple[int, ...]
-
-    def dlog_of(self, x: FieldElement) -> int:
-        if x.enc == 0:
-            raise ZeroDivisionError("zero has no discrete logarithm")
-        return self.dlog[x.enc]
 
 
 def build_mult_table(field: Field) -> MultGroupTable:

@@ -1,9 +1,7 @@
 """Square matrices over F_q.
 
-Provides determinant, trace, partial trace, rank, the entrywise (Frobenius)
-product, rank normal form with explicit transformation matrices (plus the
-determinant-one refinement available below full rank), and exhaustive
-enumeration of GL_n and SL_n.
+Provides det and rank (one elimination), trace, partial trace, the
+entrywise (Frobenius) product, and exhaustive enumeration of GL_n and SL_n.
 
 Enumeration walks GL_n row by row, in lexicographic order of the flattened
 entry encodings: each (n-1)-row prefix gets its cofactor vector w once, and
@@ -27,13 +25,12 @@ from .finite_field import Field, FieldElement
 __all__ = [
     "MatrixFq",
     "frobenius_product",
-    "rank_normal_form",
-    "sl_rank_normal_form",
     "enumerate_gl",
     "enumerate_sl",
     "gl_blocks",
     "gl_members",
     "sl_members",
+    "clear_member_cache",
     "canonical_rank_matrix",
     "random_matrix",
     "random_invertible",
@@ -101,17 +98,6 @@ class MatrixFq:
         i, j = ij
         return FieldElement(self.field, self.rows[i][j])
 
-    @property
-    def entries(self) -> tuple[tuple[FieldElement, ...], ...]:
-        f = self.field
-        return tuple(tuple(FieldElement(f, x) for x in row) for row in self.rows)
-
-    def flat(self) -> tuple[int, ...]:
-        out = []
-        for row in self.rows:
-            out.extend(row)
-        return tuple(out)
-
     def to_int_rows(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
@@ -154,12 +140,6 @@ class MatrixFq:
         n = self.n
         return MatrixFq(self.field, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
-    def scale(self, c: FieldElement) -> "MatrixFq":
-        if c.field != self.field:
-            raise ValueError("scalar from a different field")
-        mul = self.field.mul_enc
-        return MatrixFq(self.field, [[mul(c.enc, x) for x in row] for row in self.rows])
-
     def trace(self) -> FieldElement:
         return self.partial_trace(self.n)
 
@@ -174,69 +154,47 @@ class MatrixFq:
         return FieldElement(f, s)
 
     def det(self) -> FieldElement:
-        work = [list(r) for r in self.rows]
-        return FieldElement(self.field, _det_rows(self.field, work))
+        return FieldElement(self.field, _eliminate(self.field, [list(r) for r in self.rows])[1])
 
     def rank(self) -> int:
-        f = self.field
-        work = [list(r) for r in self.rows]
-        n = self.n
-        mul, sub, inv = f.mul_enc, f.sub_enc, f.inv_enc
-        r = 0
-        for col in range(n):
-            piv = None
-            for i in range(r, n):
-                if work[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            pinv = inv(work[r][col])
-            prow = work[r]
-            for i in range(r + 1, n):
-                fac = work[i][col]
-                if fac:
-                    fac = mul(fac, pinv)
-                    wi = work[i]
-                    for j in range(col, n):
-                        wi[j] = sub(wi[j], mul(fac, prow[j]))
-            r += 1
-            if r == n:
-                break
-        return r
+        return _eliminate(self.field, [list(r) for r in self.rows])[0]
 
 
-def _det_rows(field: Field, work: list[list[int]]) -> int:
-    """Determinant of a scratch row list (consumed) via Gaussian elimination."""
+def _eliminate(field: Field, work: list[list[int]]) -> tuple[int, int]:
+    """(rank, det) of a scratch row list (consumed) by Gaussian elimination.
+
+    det is 0 below full rank.  The last pivot of a full-rank matrix only
+    scales det, so it is never inverted.
+    """
     n = len(work)
     mul, sub, inv, neg = field.mul_enc, field.sub_enc, field.inv_enc, field.neg_enc
+    r = 0
     det = 1
     for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if work[i][col]:
-                piv = i
+        for piv in range(r, n):
+            if work[piv][col]:
                 break
-        if piv is None:
-            return 0
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
+        else:
+            det = 0
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
             det = neg(det)
-        pv = work[col][col]
+        prow = work[r]
+        pv = prow[col]
         det = mul(det, pv)
-        if col == n - 1:
+        r += 1
+        if r == n:
             break
         pinv = inv(pv)
-        prow = work[col]
-        for i in range(col + 1, n):
-            fac = work[i][col]
+        for i in range(r, n):
+            wi = work[i]
+            fac = wi[col]
             if fac:
                 fac = mul(fac, pinv)
-                wi = work[i]
                 for j in range(col + 1, n):
                     wi[j] = sub(wi[j], mul(fac, prow[j]))
-    return det
+    return r, det
 
 
 def frobenius_product(u: MatrixFq, v: MatrixFq) -> FieldElement:
@@ -258,89 +216,6 @@ def canonical_rank_matrix(field: Field, n: int, u: int) -> MatrixFq:
     if not 0 <= u <= n:
         raise ValueError(f"rank {u} out of range [0, {n}]")
     return MatrixFq(field, [[1 if i == j and i < u else 0 for j in range(n)] for i in range(n)])
-
-
-def rank_normal_form(U: MatrixFq) -> tuple[MatrixFq, MatrixFq, int]:
-    """Invertible P, Q with P @ U @ Q == diag(I_u, 0), u = rank(U).
-
-    Pivots are chosen as the first nonzero entry of the remaining block,
-    scanning rows top to bottom and, within a row, left to right.  Row
-    operations accumulate into P and column operations into Q.
-    """
-    f = U.field
-    n = U.n
-    mul, sub, inv = f.mul_enc, f.sub_enc, f.inv_enc
-    a = [list(r) for r in U.rows]
-    pm = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    qm = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    u = 0
-    for step in range(n):
-        pivot = None
-        for i in range(step, n):
-            for j in range(step, n):
-                if a[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != step:
-            a[step], a[pi] = a[pi], a[step]
-            pm[step], pm[pi] = pm[pi], pm[step]
-        if pj != step:
-            for row in a:
-                row[step], row[pj] = row[pj], row[step]
-            for row in qm:
-                row[step], row[pj] = row[pj], row[step]
-        pinv = inv(a[step][step])
-        if pinv != 1:
-            a[step] = [mul(pinv, x) for x in a[step]]
-            pm[step] = [mul(pinv, x) for x in pm[step]]
-        prow = a[step]
-        for i in range(step + 1, n):
-            fac = a[i][step]
-            if fac:
-                a[i] = [sub(x, mul(fac, y)) for x, y in zip(a[i], prow)]
-                pm[i] = [sub(x, mul(fac, y)) for x, y in zip(pm[i], pm[step])]
-        for j in range(step + 1, n):
-            fac = a[step][j]
-            if fac:
-                for row in a:
-                    row[j] = sub(row[j], mul(fac, row[step]))
-                for row in qm:
-                    row[j] = sub(row[j], mul(fac, row[step]))
-        u += 1
-    return MatrixFq(f, pm), MatrixFq(f, qm), u
-
-
-def sl_rank_normal_form(U: MatrixFq) -> tuple[MatrixFq, MatrixFq, int]:
-    """Rank normal form with det(P) = det(Q) = 1; requires rank(U) < n.
-
-    Rescaling the last row of P (and last column of Q) is harmless because
-    with u < n it only touches the zero block of P @ U @ Q.
-    """
-    P, Q, u = rank_normal_form(U)
-    n = U.n
-    if u == n:
-        raise ValueError("determinant-one normal form needs rank(U) < n")
-    f = U.field
-    mul, inv = f.mul_enc, f.inv_enc
-    dp = P.det().enc
-    if dp != 1:
-        fac = inv(dp)
-        rows = [list(r) for r in P.rows]
-        rows[n - 1] = [mul(fac, x) for x in rows[n - 1]]
-        P = MatrixFq(f, rows)
-    dq = Q.det().enc
-    if dq != 1:
-        fac = inv(dq)
-        rows = [list(r) for r in Q.rows]
-        for row in rows:
-            row[n - 1] = mul(fac, row[n - 1])
-        Q = MatrixFq(f, rows)
-    return P, Q, u
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +240,7 @@ def _gl_blocks(field: Field, n: int) -> Iterator[tuple[tuple[int, ...], int, tup
     adds = [[add(a, b) for b in range(q)] for a in range(q if n > 1 else 1)]
     for prefix in itertools.product(range(q), repeat=(n - 1) * n):
         rows = [prefix[i * n:(i + 1) * n] for i in range(n - 1)]
-        w = [_det_rows(field, [list(r[:j] + r[j + 1:]) for r in rows]) for j in range(n)]
+        w = [_eliminate(field, [list(r[:j] + r[j + 1:]) for r in rows])[1] for j in range(n)]
         if not any(w):
             continue
         # <w, x> over F_q^n, one coordinate at a time, x[0] the most significant

@@ -11,7 +11,6 @@ from matgauss.budget import EnumerationBudgetError
 from matgauss.finite_field import Field, make_field
 from matgauss.matrix_fq import (
     MatrixFq,
-    canonical_rank_matrix,
     clear_member_cache,
     enumerate_gl,
     enumerate_sl,
@@ -19,9 +18,7 @@ from matgauss.matrix_fq import (
     gl_members,
     random_invertible,
     random_rank_matrix,
-    rank_normal_form,
     sl_members,
-    sl_rank_normal_form,
 )
 
 
@@ -137,78 +134,62 @@ class TestDetAndRank:
                     assert (pm @ u @ qm).rank() == u.rank()
 
 
-class TestRankNormalForm:
-    def check(self, u_mat):
-        p_mat, q_mat, u = rank_normal_form(u_mat)
-        n = u_mat.n
-        f = u_mat.field
-        assert p_mat.det().enc != 0
-        assert q_mat.det().enc != 0
-        assert u == u_mat.rank()
-        assert (p_mat @ u_mat @ q_mat) == canonical_rank_matrix(f, n, u)
-
-    def test_full_sweep_2x2(self):
-        for p in (2, 3):
-            f = make_field(p)
-            for flat in itertools.product(range(p), repeat=4):
-                self.check(MatrixFq(f, [flat[:2], flat[2:]]))
-
-    def test_random_3x3_over_f4(self):
-        f = make_field(2, 2)
-        rng = random.Random("rnf-f4")
-        for _ in range(1000):
-            self.check(MatrixFq(f, [[rng.randrange(4) for _ in range(3)] for _ in range(3)]))
-
-    def test_worked_example(self):
-        f = make_field(2)
-        u_mat = MatrixFq(f, [[1, 1], [1, 1]])
-        p_mat, q_mat, u = rank_normal_form(u_mat)
-        assert u == 1
-        assert (p_mat @ u_mat @ q_mat).to_int_rows() == [[1, 0], [0, 0]]
+def leibniz_det(f, rows):
+    """det by the Leibniz expansion, through FieldElement ops only."""
+    k = len(rows)
+    total = f.zero()
+    for perm in itertools.permutations(range(k)):
+        term = f.one()
+        for i, j in enumerate(perm):
+            term = term * f.element(rows[i][j])
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
-class TestSlRankNormalForm:
-    def check(self, u_mat):
-        p_mat, q_mat, u = sl_rank_normal_form(u_mat)
-        f = u_mat.field
-        assert p_mat.det() == f.one()
-        assert q_mat.det() == f.one()
-        assert (p_mat @ u_mat @ q_mat) == canonical_rank_matrix(f, u_mat.n, u)
+def minor_rank(f, rows):
+    """The largest k with a nonzero k x k minor."""
+    n = len(rows)
+    for k in range(n, 0, -1):
+        for rs in itertools.combinations(range(n), k):
+            for cs in itertools.combinations(range(n), k):
+                if leibniz_det(f, [[rows[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
 
-    def test_zero_matrix(self):
-        f = make_field(3)
-        p_mat, q_mat, u = sl_rank_normal_form(MatrixFq.zero(f, 2))
-        assert u == 0
-        assert p_mat.det() == f.one() and q_mat.det() == f.one()
 
-    def test_scaling_needed_over_f3(self):
-        f = make_field(3)
-        self.check(MatrixFq(f, [[2, 0], [0, 0]]))
+class TestEliminate:
+    """``_eliminate`` (and so det and rank) against the Leibniz and minor references."""
 
-    def test_f2_is_automatic(self):
-        f = make_field(2)
-        self.check(MatrixFq(f, [[1, 1], [1, 1]]))
+    def check(self, f, rows):
+        det = leibniz_det(f, rows)
+        rank = minor_rank(f, rows)
+        assert matrix_fq._eliminate(f, [list(r) for r in rows]) == (rank, det.enc)
+        mat = MatrixFq(f, rows)
+        assert mat.det() == det
+        assert mat.rank() == rank
 
-    def test_all_rank_deficient_2x2_over_f3_and_f5(self):
-        for p in (3, 5):
-            f = make_field(p)
-            for flat in itertools.product(range(p), repeat=4):
-                m = MatrixFq(f, [flat[:2], flat[2:]])
-                if m.rank() < 2:
-                    self.check(m)
+    @pytest.mark.parametrize("p,e,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)])
+    def test_every_small_matrix(self, p, e, n):
+        f = make_field(p, e)
+        for flat in itertools.product(range(f.q), repeat=n * n):
+            self.check(f, [flat[i * n:(i + 1) * n] for i in range(n)])
 
-    def test_random_deficient_3x3(self):
-        rng = random.Random("slrnf")
-        for p, e in [(3, 1), (2, 2)]:
-            f = make_field(p, e)
-            for u in (0, 1, 2):
-                for _ in range(25):
-                    self.check(random_rank_matrix(f, 3, u, rng))
-
-    def test_full_rank_rejected(self):
-        f = make_field(3)
-        with pytest.raises(ValueError):
-            sl_rank_normal_form(MatrixFq.identity(f, 2))
+    @pytest.mark.parametrize("p,e", [(2, 2), (5, 1)])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_seeded(self, p, e, n):
+        f = make_field(p, e)
+        rng = random.Random(f"eliminate:{p}:{e}:{n}")
+        for k in range(40):
+            rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
+            if k % 2:
+                # no pivot in the first column: elimination carries on past it
+                for row in rows:
+                    row[0] = 0
+            self.check(f, rows)
+        for u in range(n + 1):
+            for _ in range(3):
+                self.check(f, random_rank_matrix(f, n, u, rng).to_int_rows())
 
 
 class TestEnumeration:
@@ -319,6 +300,9 @@ def test_det_does_not_invert_the_last_pivot(monkeypatch):
     det = MatrixFq(f, rows).det().enc
     (a, b, c), (d, e, g), (h, i, j) = rows
     assert det == (a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)) % 31
+    assert len(calls) == 2
+    calls.clear()
+    assert MatrixFq(f, rows).rank() == 3
     assert len(calls) == 2
 
 
