@@ -181,16 +181,23 @@ class CyclotomicRing:
     def from_power_counts(self, counts) -> "CyclotomicInteger":
         """Exact value of sum(counts[k] * zeta^k); indices beyond m wrap.
 
-        Folding modulo x^m - 1 leaves f of length at most m.  Reversed, the
-        quotient of f by Phi_m is f's reversed top times the inverse of
-        Phi_m's reversal, and the remainder needs only the d = phi(m) low
-        coefficients of quotient * Phi_m.
+        Folding modulo x^m - 1 leaves f of length at most m.  For even m,
+        zeta^(m/2) = -1 (Phi_m divides x^(m/2) + 1), so a second fold
+        subtracts f's top half from its bottom half and leaves at most m/2
+        terms.  Reversed, the quotient of f by Phi_m is f's reversed top
+        times the inverse of Phi_m's reversal, so at most m/2 - d of the
+        inverse's terms are read, and the remainder needs only the
+        d = phi(m) low coefficients of quotient * Phi_m.
         """
         m, d = self.m, self.degree
         f = list(counts[:m])
         for start in range(m, len(counts), m):
             chunk = counts[start:start + m]
             f[: len(chunk)] = map(operator.add, f, chunk)
+        if m % 2 == 0:
+            top = f[m // 2:]
+            del f[m // 2:]
+            f[: len(top)] = map(operator.sub, f, top)
         f.extend([0] * (d - len(f)))
         if self._inverse is None:
             # the reversals of Phi_m and of its cofactor multiply to 1 - x^m,
@@ -269,14 +276,20 @@ class CyclotomicInteger:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined in Z[zeta_m]")
-        result = get_ring(self.m).one()
+        if not k:
+            return get_ring(self.m).one()
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        # the lowest set bit starts the result, so no product by one is paid
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
             k >>= 1
-            if k:
-                base = base * base
         return result
 
     def is_zero(self) -> bool:

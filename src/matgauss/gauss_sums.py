@@ -151,9 +151,11 @@ def gl_gauss_closed(U: MatrixFq, chi: MultiplicativeCharacter,
     u = U.rank()
     c2 = math.comb(n, 2)
     if u == n:
-        val = classical_gauss_sum(chi, lam) ** n
-        if not chi.is_trivial:
-            val = val * ring.root_power(chi.conjugate().exponent(U.det()))
+        # conj(chi)(b) * G(chi, lambda_a) = G(chi, lambda_ab): substitute
+        # x -> x / b in the sum, so the twist by det U is one more tally
+        val = classical_gauss_sum(chi, AdditiveCharacter(lam.a * U.det()))
+        if n > 1:
+            val = classical_gauss_sum(chi, lam) ** (n - 1) * val
         return q**c2 * val
     if chi.is_trivial:
         prod = 1

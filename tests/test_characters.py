@@ -209,6 +209,22 @@ class TestClassicalGaussSum:
                         total = total + chi(x) * lam(x)
                 assert classical_gauss_sum(chi, lam) == total, (q, a, j)
 
+    @pytest.mark.parametrize("q", [4, 5, 8, 9])
+    def test_twisting_lambda_by_b_multiplies_by_conj_chi_of_b(self, q):
+        # conj(chi)(b) * G(chi, lambda_a) = G(chi, lambda_ab), which the GL
+        # closed form uses to apply conj(chi)(det U)
+        p, e = factor_prime_power(q)
+        f = make_field(p, e)
+        table = build_mult_table(f)
+        for j in range(q - 1):
+            chi = MultiplicativeCharacter(table, j)
+            for a in range(1, q):
+                g = classical_gauss_sum(chi, AdditiveCharacter(f.element(a)))
+                for b in f.elements():
+                    if b.enc:
+                        twisted = AdditiveCharacter(f.element(a) * b)
+                        assert chi.conjugate()(b) * g == classical_gauss_sum(chi, twisted), (j, a, b.enc)
+
 
 class TestKloosterman:
     def test_single_variable_reduces_to_lambda(self):

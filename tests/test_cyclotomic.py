@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from matgauss.cyclotomic import (
+    CyclotomicInteger,
     CyclotomicRing,
     cyclotomic_polynomial,
     get_ring,
@@ -189,6 +190,22 @@ class TestRingArithmetic:
             assert v**k == acc
             acc = acc * v
 
+    def test_power_makes_one_product_per_square_and_per_extra_bit(self, monkeypatch):
+        calls = []
+        mul = CyclotomicInteger.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(CyclotomicInteger, "__mul__", counting)
+        v = zeta_pow(12, 5) + 2
+        for k in range(10):
+            calls.clear()
+            v**k
+            expected = k.bit_length() - 1 + bin(k).count("1") - 1 if k else 0
+            assert len(calls) == expected, k
+
     @pytest.mark.parametrize("m", [4, 6, 12, 30])
     def test_abs_is_multiplicative(self, m):
         ring = get_ring(m)
@@ -226,8 +243,12 @@ class TestPowerCounts:
 
 
 # Phi_105 has a coefficient -2; 930, 2046 and 3120 (the value rings of
-# q = 31, 1024 and 625) have four distinct prime factors
-SCHOOLBOOK_ORDERS = [1, 2, 105, 930, 2046, 3120]
+# q = 31, 1024 and 625) have four distinct prime factors.  Every even order
+# takes the fold by zeta^(m/2) = -1: at m = 2 and 4 it is the whole
+# reduction (Phi_m = x^(m/2) + 1), while 12 and 1332 (the value ring of
+# q = 37), divisible by 4, still divide by Phi_m after it.  The odd orders
+# 1 and 105 skip the fold.
+SCHOOLBOOK_ORDERS = [1, 2, 4, 12, 105, 930, 1332, 2046, 3120]
 BIG = 10**12
 
 
@@ -256,15 +277,19 @@ class TestAgainstSchoolbook:
             [-BIG] * m,
             [rng.randint(-BIG, BIG) for _ in range(2 * m + 3)],
         ]
+        # lengths on either side of the fold by zeta^(m/2) = -1
+        vectors += [[rng.randint(-BIG, BIG) for _ in range(m // 2 + k)] for k in (-1, 0, 1)]
         for counts in vectors:
             assert ring.from_power_counts(counts).coeffs == schoolbook_reduce(counts, m)
 
     def test_every_root_power(self):
-        ring = get_ring(105)
-        for k in range(105):
-            unit = [0] * (k + 1)
-            unit[k] = 1
-            assert ring.root_power(k).coeffs == schoolbook_reduce(unit, 105)
+        # on m = 12, zeta^k with k >= 6 goes through the fold by zeta^6 = -1
+        for m in (12, 105):
+            ring = get_ring(m)
+            for k in range(m):
+                unit = [0] * (k + 1)
+                unit[k] = 1
+                assert ring.root_power(k).coeffs == schoolbook_reduce(unit, m), (m, k)
 
 
 def test_reduction_memory_is_linear_in_m():

@@ -34,6 +34,7 @@ from matgauss.matrix_fq import (
     enumerate_sl,
     frobenius_product,
     gl_members,
+    random_invertible,
     random_rank_matrix,
 )
 
@@ -99,6 +100,28 @@ class TestGlClosedForm:
                 u_mat = random_rank_matrix(f, 2, u, rng)
                 assert gl_gauss_closed(u_mat, chi, lam) == gl_gauss_bruteforce(u_mat, chi, lam)
                 assert sl_gauss_closed(u_mat, lam) == sl_gauss_bruteforce(u_mat, lam)
+
+    @pytest.mark.parametrize("q", [243, 1024])
+    def test_full_rank_past_enumeration_matches_the_untwisted_route(self, q):
+        # conj(chi)(det U) * G(chi, lambda)^n, written out with n - 1 plain
+        # products and a root power
+        p, e = factor_prime_power(q)
+        f = make_field(p, e)
+        table = build_mult_table(f)
+        ring = value_ring(f)
+        rng = random.Random(f"untwisted:{q}")
+        full_order = [j for j in range(1, q - 1) if math.gcd(j, q - 1) == 1]
+        for j in rng.sample(full_order, 3):
+            chi = MultiplicativeCharacter(table, j)
+            lam = AdditiveCharacter(f.element(rng.randrange(1, q)))
+            g = classical_gauss_sum(chi, lam)
+            power = g
+            for n in range(1, 5):
+                u_mat = random_invertible(f, n, rng)
+                root = ring.root_power(chi.conjugate().exponent(u_mat.det()))
+                expected = q ** math.comb(n, 2) * (power * root)
+                assert gl_gauss_closed(u_mat, chi, lam) == expected, (j, n)
+                power = power * g
 
 
 class TestSlClosedForm:
