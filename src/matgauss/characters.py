@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .budget import check_budget
 from .cyclotomic import CyclotomicInteger, CyclotomicRing, _mul_low, get_ring
-from .finite_field import Field, FieldElement, MultGroupTable, build_mult_table
+from .finite_field import Field, FieldElement, MultGroupTable, build_mult_table, linear_table
 
 
 def value_ring(field: Field) -> CyclotomicRing:
@@ -96,13 +96,9 @@ class MultiplicativeCharacter:
 
 def _trace_table(field: Field, c: int) -> list[int]:
     """tr(c * x) for every x in F_q, indexed by the encoding of x."""
+    # the trace is F_p-linear in the digits of x; digit i weighs tr(c * x^i)
     p = field.p
-    # the trace is F_p-linear in the digits of x, so extend it one digit at a time
-    out = [0]
-    for i in range(field.e):
-        t = field.trace_enc(field.mul_enc(c, p**i))
-        out = [(d * t + r) % p for d in range(p) for r in out]
-    return out
+    return linear_table(p, [field.trace_enc(field.mul_enc(c, p**i)) for i in range(field.e)])
 
 
 @lru_cache(maxsize=64)

@@ -11,6 +11,8 @@ zeta^k with 0 <= k < m; ``CyclotomicRing.from_power_counts`` turns such a
 tally into a canonical value, and root powers and products reduce through it
 too.  It needs O(m) memory: products are big-int products (Kronecker
 substitution) and Phi_m is divided out through its power-series inverse.
+Phi_m and that inverse are truncated sparse products of the Moebius factors
+(1 - x^k)^(+-1), each one pass over the coefficients it changes.
 
 A double-precision complex embedding is provided for magnitude checks only;
 it is never used to decide equality.
@@ -19,6 +21,7 @@ it is never used to decide equality.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 import sys
@@ -43,39 +46,38 @@ def distinct_prime_factors(n: int) -> list[int]:
     return out
 
 
-def _mul_by_x_pow_minus_one(poly: list[int], d: int) -> list[int]:
-    return list(map(operator.sub, [0] * d + poly, poly + [0] * d))
-
-
-def _div_by_x_pow_minus_one(poly: list[int], d: int) -> list[int]:
-    quot = poly[d:]
-    for j in range(len(quot) - d - 1, -1, -1):
-        quot[j] += quot[j + d]
-    if _mul_by_x_pow_minus_one(quot, d) != poly:
-        raise ArithmeticError("inexact polynomial division")  # unreachable
-    return quot
-
-
-def _moebius_product(m: int, cofactor: bool = False) -> list[int]:
-    """Phi_m, or with cofactor=True (x^m - 1) / Phi_m, as a Moebius product.
+def _moebius_series(m: int, n: int, inverse: bool = False) -> list[int]:
+    """The first n coefficients of Phi_m, or of 1/Phi_m, as a power series (m > 1).
 
     Phi_m is the product over the squarefree divisors t of m of
-    (x^(m/t) - 1)^mu(t); the cofactor negates every exponent and skips t = 1.
-    All multiplications come first, so every division is exact.
+    (1 - x^(m/t))^mu(t) (Arnold & Monagan, Math. Comp. 80, 2011), and a
+    factor with m/t >= n is 1 modulo x^n, so only the others are applied:
+    a product by 1 - x^k is one shifted subtraction and a quotient a running
+    sum with stride k.  The inverse negates every exponent.  Products come
+    first, so each step is the low part of a polynomial with small
+    coefficients.
     """
+    if not n:
+        return []
     primes = distinct_prime_factors(m)
     mul_degrees: list[int] = []
     div_degrees: list[int] = []
-    for mask in range(1 if cofactor else 0, 1 << len(primes)):
-        t = math.prod(pr for i, pr in enumerate(primes) if mask >> i & 1)
-        even = bin(mask).count("1") % 2 == 0
-        (mul_degrees if even != cofactor else div_degrees).append(m // t)
-    poly = [1]
-    for d in sorted(mul_degrees):
-        poly = _mul_by_x_pow_minus_one(poly, d)
-    for d in sorted(div_degrees):
-        poly = _div_by_x_pow_minus_one(poly, d)
-    return poly
+    for mask in range(1 << len(primes)):
+        k = m // math.prod(pr for i, pr in enumerate(primes) if mask >> i & 1)
+        if k < n:
+            odd = bin(mask).count("1") % 2 == 1
+            (div_degrees if odd != inverse else mul_degrees).append(k)
+    f = [1] + [0] * (n - 1)
+    for k in sorted(mul_degrees):
+        f[k:] = map(operator.sub, f[k:], f[: n - k])
+    for k in sorted(div_degrees):
+        if k * k < n:
+            for r in range(k):
+                f[r::k] = itertools.accumulate(f[r::k])
+        else:
+            for j in range(k, n, k):
+                f[j : j + k] = map(operator.add, f[j : j + k], f[j - k : j])
+    return f
 
 
 def check_order(m: int) -> None:
@@ -89,7 +91,14 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"order must be a positive integer, got {m}")
     check_order(m)
-    return tuple(_moebius_product(m))
+    if m == 1:
+        return (-1, 1)
+    d = m
+    for pr in distinct_prime_factors(m):
+        d = d // pr * (pr - 1)
+    # Phi_m is palindromic for m > 1: build its low half and mirror it
+    low = _moebius_series(m, d // 2 + 1)
+    return tuple(low + low[d - len(low) :: -1])
 
 
 # array typecode of each machine-integer width in bytes; slots are
@@ -200,10 +209,11 @@ class CyclotomicRing:
             f[: len(top)] = map(operator.sub, f, top)
         f.extend([0] * (d - len(f)))
         if self._inverse is None:
-            # the reversals of Phi_m and of its cofactor multiply to 1 - x^m,
-            # so the cofactor's reversal is the inverse modulo x^(m - d);
-            # threads that race here compute the same list
-            self._inverse = _moebius_product(m, cofactor=True)[:0:-1]
+            # the quotient has at most len(f) - d terms, and Phi_m is
+            # palindromic for m > 1, so it is its own reversal (at m = 1 no
+            # term is read); threads that race here compute the same list
+            n = (m // 2 if m % 2 == 0 else m) - d
+            self._inverse = _moebius_series(m, n, inverse=True)
         quot = _mul_low(f[: d - 1 : -1], self._inverse, len(f) - d)
         quot.reverse()
         low = _mul_low(quot, self.polynomial, d)

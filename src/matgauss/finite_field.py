@@ -9,8 +9,9 @@ always agree, and the multiplicative generator is the first element (again in
 encoding order) of full order, which makes character indexing reproducible.
 
 Arithmetic reads log, antilog and Zech tables, one path for every p and e
-(see ``Field``); the polynomial helpers serve only the modulus search and the
-table build.
+(see ``Field``).  They are built by walking x -> g * x through a table of
+that F_p-linear map, so the polynomial helpers serve only the modulus and
+generator searches and the map's e columns.
 """
 
 from __future__ import annotations
@@ -216,12 +217,6 @@ class Field:
             enc //= p
         return tuple(out)
 
-    def coeffs_to_enc(self, coeffs) -> int:
-        enc = 0
-        for c in reversed(coeffs):
-            enc = enc * self.p + c
-        return enc
-
     # -- encoding-level arithmetic --------------------------------------------
     # Integers in [0, q); these are the hot-loop primitives.
     # g^la + g^lb = g^(la + zech[lb - la]).
@@ -310,15 +305,29 @@ class _UnbuiltField(Field):
         return getattr(self, name)
 
 
+def linear_table(p: int, coeffs) -> list[int]:
+    """sum(coeffs[i] * x_i) mod p for every x in F_q, q = p^len(coeffs).
+
+    x has the digits x_i and the table is indexed by its encoding; an
+    F_p-linear functional extends one digit at a time.
+    """
+    out = [0]
+    for c in coeffs:
+        out = [(d * c + r) % p for d in range(p) for r in out]
+    return out
+
+
 def _build_tables(field: Field) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The antilog, log and Zech tables of F_q, by polynomial arithmetic.
+    """The antilog, log and Zech tables of F_q, by walking x -> g * x.
 
     The generator g is the first element in encoding order of full order,
-    i.e. with g^((q-1)/r) != 1 for every prime r dividing q-1.
+    i.e. with g^((q-1)/r) != 1 for every prime r dividing q-1.  Multiplying
+    by g is F_p-linear in the digits, so each digit of g * x is tabulated
+    over F_q from the columns g * x^i, and the walk is one lookup per step.
     """
-    p, q = field.p, field.q
+    p, e, q = field.p, field.e, field.q
     modulus = list(field.modulus)
-    one = [1] + [0] * (field.e - 1)
+    one = [1] + [0] * (e - 1)
     factors = distinct_prime_factors(q - 1)
     for g in range(1, q):
         digits = list(field.enc_to_coeffs(g))
@@ -326,17 +335,22 @@ def _build_tables(field: Field) -> tuple[tuple[int, ...], tuple[int, ...], tuple
             break
     else:
         raise RuntimeError("no generator found")  # unreachable: F_q^* is cyclic
-    digits = _poly_trim(digits)
+    columns = [_poly_mulmod(digits, [0] * i + [1], modulus, p) for i in range(e)]
+    times_g = [0] * q
+    for j in range(e):
+        scale = p**j
+        digit = linear_table(p, [col[j] for col in columns])
+        times_g = [t + scale * v for t, v in zip(times_g, digit)]
     exp = [0] * (q - 1)
     log = [-1] * q
-    acc = one
+    enc = 1
     for k in range(q - 1):
-        enc = field.coeffs_to_enc(acc)
         exp[k] = enc
         log[enc] = k
-        acc = _poly_mulmod(acc, digits, modulus, p)
-    if acc != one:
+        enc = times_g[enc]
+    if enc != 1:
         raise AssertionError("generator order is not q - 1")
+    del times_g  # freed before the tuples below, which are the peak of memory
     # 1 + x differs from x only in its constant digit
     zech = [log[x - x % p + (x + 1) % p] for x in exp]
     return tuple(exp * 2), tuple(log), tuple(zech * 2)

@@ -8,6 +8,7 @@ import pytest
 from matgauss.cyclotomic import (
     CyclotomicInteger,
     CyclotomicRing,
+    _mul_low,
     cyclotomic_polynomial,
     get_ring,
     zeta_pow,
@@ -103,6 +104,67 @@ class TestCyclotomicPolynomial:
             cyclotomic_polynomial(0)
         with pytest.raises(ValueError):
             cyclotomic_polynomial(10**6 + 1)
+
+
+def prime_factors(n):
+    out, f = [], 2
+    while n > 1:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out
+
+
+def euler_phi(n):
+    primes = prime_factors(n)
+    return n // math.prod(primes) * math.prod(f - 1 for f in primes)
+
+
+def root_of_exact_order(m):
+    """(l, r): the first prime l = 1 (mod m) and an r of multiplicative order m mod l."""
+    primes = prime_factors(m)
+    ell = next(
+        ell for ell in range(m + 1, 10**9, m) if all(ell % f for f in range(2, math.isqrt(ell) + 1))
+    )
+    for a in range(2, ell):
+        r = pow(a, (ell - 1) // m, ell)
+        if all(pow(r, m // f, ell) != 1 for f in primes):
+            return ell, r
+    raise AssertionError("F_l^* is cyclic")
+
+
+# the value rings m = p(q - 1) of every benchmark field (726 = 2 * 3 * 11^2),
+# q = 2^16's, and the odd 105 and 1155 that reduce without the fold
+PAST_NAIVE_ORDERS = [62, 105, 126, 336, 726, 930, 1155, 1332, 1806, 2046, 2394, 3120, 131070]
+
+
+class TestPastTheNaiveOracle:
+    @pytest.mark.parametrize("m", PAST_NAIVE_ORDERS)
+    def test_monic_palindromic_of_degree_phi(self, m):
+        poly = cyclotomic_polynomial(m)
+        assert len(poly) - 1 == euler_phi(m)
+        assert poly[-1] == 1
+        assert poly == poly[::-1]
+
+    @pytest.mark.parametrize("m", PAST_NAIVE_ORDERS)
+    def test_vanishes_at_a_primitive_root_of_unity_mod_a_prime(self, m):
+        ell, r = root_of_exact_order(m)
+        value = 0
+        for c in reversed(cyclotomic_polynomial(m)):
+            value = (value * r + c) % ell
+        assert value == 0
+
+    @pytest.mark.parametrize("m", PAST_NAIVE_ORDERS)
+    def test_inverse_series_has_the_length_a_reduction_reads(self, m):
+        ring = CyclotomicRing(m)
+        ring.from_power_counts([1])  # builds the inverse
+        # a reduction divides at most m/2 terms (m even, after the fold by
+        # zeta^(m/2) = -1) or m terms by Phi_m, whose degree is phi(m)
+        n = (m // 2 if m % 2 == 0 else m) - euler_phi(m)
+        assert len(ring._inverse) == n
+        assert _mul_low(ring.polynomial, ring._inverse, n) == [1] + [0] * (n - 1)
 
 
 class TestRootPowers:

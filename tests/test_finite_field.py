@@ -6,6 +6,7 @@ from matgauss import finite_field
 from matgauss.finite_field import (
     Field,
     _poly_mulmod,
+    _poly_powmod,
     build_mult_table,
     is_prime,
     make_field,
@@ -291,6 +292,30 @@ def assert_no_tables(f):
     for name in ("_exp", "_log", "_zech"):
         with pytest.raises(AttributeError):
             getattr(Field, name).__get__(f, Field)
+
+
+def walked_tables(f):
+    """Oracle: the antilog, log and Zech tables by one polynomial product by g per element."""
+    p, q = f.p, f.q
+    modulus = list(f.modulus)
+    one = [1] + [0] * (f.e - 1)
+    primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+    g = next(g for g in range(1, q)
+             if all(_poly_powmod(digits(f, g), (q - 1) // r, modulus, p) != one for r in primes))
+    exp, log, acc = [], [-1] * q, one
+    for k in range(q - 1):
+        enc = from_digits(f, acc)
+        exp.append(enc)
+        log[enc] = k
+        acc = _poly_mulmod(acc, digits(f, g), modulus, p)
+    assert acc == one
+    zech = [log[from_digits(f, [(x + 1) % p] + digits(f, x)[1:])] for x in exp]
+    return tuple(exp * 2), tuple(log), tuple(zech * 2)
+
+
+@pytest.mark.parametrize("p,e", [(3, 5), (7, 3), (5, 4), (2, 10), (3, 7)])
+def test_tables_equal_the_polynomial_walk(p, e):
+    assert finite_field._build_tables(make_field(p, e)) == walked_tables(make_field(p, e))
 
 
 class TestEnumeration:
