@@ -13,6 +13,10 @@ per-field table of tr(g^k), so chi_j(x) * lam_a(x) is zeta_m to the power
 p*j*s + (q-1)*tr(g^(alpha+s)) for a = g^alpha, found without any field
 operation.  The CRT split of Z/m into Z/(q-1) x Z/p makes the Kloosterman
 recursion a cyclic convolution of length m (see ``_kloosterman_levels``).
+Jacobi sums J(chi, chi^k) read log(1 - g^s) off the Zech table the same way
+and live in Z[zeta_(q-1)]; ``twisted_gauss_power`` builds G(chi)^n from them
+with one reduction in each ring (``classical_gauss_sum`` and ``**`` remain
+as the check).
 """
 
 from __future__ import annotations
@@ -94,42 +98,52 @@ class MultiplicativeCharacter:
         return value_ring(self.field).root_power(self.exponent(x))
 
 
-def _trace_table(field: Field, c: int) -> list[int]:
+def _trace_table(field: Field, c: int) -> list[int] | tuple[int, ...]:
     """tr(c * x) for every x in F_q, indexed by the encoding of x."""
+    if c == 1:
+        return field._trace
     # the trace is F_p-linear in the digits of x; digit i weighs tr(c * x^i)
     p = field.p
     return linear_table(p, [field.trace_enc(field.mul_enc(c, p**i)) for i in range(field.e)])
 
 
 @lru_cache(maxsize=64)
-def _log_traces(table: MultGroupTable) -> tuple[int, ...]:
-    """tr(g^k) for k in [0, q-1), g the table's generator."""
-    field = table.field
-    by_enc = _trace_table(field, 1)
-    out = [0] * (field.q - 1)
-    for enc, k in enumerate(table.dlog[1:], 1):
-        out[k] = by_enc[enc]
-    return tuple(out)
+def _log_traces(field: Field) -> tuple[int, ...]:
+    """tr(g^k) for k in [0, q-1), g the field's generator."""
+    return tuple(map(field._trace.__getitem__, field._exp[: field.q - 1]))
+
+
+@lru_cache(maxsize=64)
+def _one_minus_logs(field: Field) -> tuple[int, ...]:
+    """log(1 - g^s) for s in [0, q-1), -1 at s = 0.
+
+    1 - g^s = 1 + g^(s + log(-1)), so this is a slice of the Zech table.
+    """
+    start = field._log_neg_one
+    return field._zech[start : start + field.q - 1]
+
+
+def _twisted_traces(table: MultGroupTable, lam: AdditiveCharacter) -> tuple[int, ...]:
+    """tr(a * g^s) for s in [0, q-1), lam = lam_a: for a = g^alpha, entry
+    alpha + s of the trace table, so no field operation runs."""
+    if lam.is_trivial:
+        return (0,) * (table.field.q - 1)
+    alpha = table.dlog[lam.a.enc]
+    traces = _log_traces(table.field)
+    return traces[alpha:] + traces[:alpha]
 
 
 def _log_tally(table: MultGroupTable, lam: AdditiveCharacter, j: int) -> list[int]:
     """Power counts of sum over nonzero x of chi_j(x) * lam(x), indexed by dlog.
 
-    x = g^s contributes zeta_m^(p*j*s + (q-1)*tr(a*g^s)); for a = g^alpha the
-    trace is entry alpha + s of the trace table, so no field operation runs.
+    x = g^s contributes zeta_m^(p*j*s + (q-1)*tr(a*g^s)).
     """
     field = table.field
     q1 = field.q - 1
     m = field.p * q1
-    if lam.is_trivial:
-        traces = (0,) * q1
-    else:
-        alpha = table.dlog[lam.a.enc]
-        traces = _log_traces(table)
-        traces = traces[alpha:] + traces[:alpha]
     step = field.p * j
     counts = [0] * m
-    for s, t in enumerate(traces):
+    for s, t in enumerate(_twisted_traces(table, lam)):
         counts[(step * s + q1 * t) % m] += 1
     return counts
 
@@ -141,6 +155,91 @@ def classical_gauss_sum(chi: MultiplicativeCharacter, lam: AdditiveCharacter) ->
         raise ValueError("characters live on different fields")
     ring = value_ring(field)
     return ring.from_power_counts(_log_tally(chi.table, lam, chi.index))
+
+
+def _jacobi_tally(field: Field, j: int, k: int) -> list[int]:
+    """Power counts of zeta_(q-1) in J(chi_j, chi_j^k).
+
+    J(chi, psi) = sum over x != 0, 1 of chi(x) * psi(1 - x); for x = g^s
+    the term is zeta_(q-1)^(j*s + j*k*log(1 - x)), so no field operation runs.
+    """
+    q1 = field.q - 1
+    jk = j * k
+    counts = [0] * q1
+    for s, t in enumerate(_one_minus_logs(field)[1:], 1):
+        counts[(j * s + jk * t) % q1] += 1
+    return counts
+
+
+def twisted_gauss_power(chi: MultiplicativeCharacter, lam: AdditiveCharacter, n: int,
+                        y: FieldElement) -> CyclotomicInteger:
+    """conj(chi)(y) * G(chi, lam)^n for nonzero y and nontrivial lam, n >= 1.
+
+    Jacobi sums factor the power: G(chi) G(chi^k) = J(chi, chi^k) G(chi^(k+1))
+    while chi^(k+1) is nontrivial, and G(chi) G(conj chi) = chi(-1) q (Berndt,
+    Evans & Williams, *Gauss and Jacobi Sums*, ch. 2).  So G(chi)^n is
+    c * G(chi^n), or c alone when chi^n is trivial, with c a product of
+    Jacobi sums and integers.  The Jacobi sums live in Z[zeta_(q-1)], whose
+    degree is phi(m)/(p-1): c is multiplied there without a reduction and
+    reduced once.
+
+    G(chi^n) is sum over t < p of zeta_p^t * A_t, each A_t in Z[zeta_(q-1)],
+    and zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)), so c * G(chi^n) is the
+    p - 1 products c * (A_t - A_(p-1)): one Kronecker product of c with those
+    blocks laid end to end.  Product t lands at zeta_m^(p*i + (q-1)*t),
+    shifted by the twist conj(chi)(y), and the whole is reduced once in
+    Z[zeta_m].
+    """
+    field = chi.field
+    if lam.field != field or y.field != field:
+        raise ValueError("arguments from different fields")
+    if n < 1 or not y.enc or lam.is_trivial:
+        raise ValueError("needs n >= 1, a nonzero y and a nontrivial additive character")
+    ring = value_ring(field)
+    if chi.is_trivial:
+        return ring.from_int((-1) ** n)  # G(1, lam) = -1
+    p, q1 = field.p, field.q - 1
+    j = chi.index
+    sub = get_ring(q1)
+    # G(chi)^k = scale * c * G(chi^k), with c the Jacobi product as folded
+    # power counts of zeta_(q-1) (None while it is 1) and G(chi^k) read as 1
+    # when chi^k is trivial, so that a trivial chi^k changes neither
+    scale = 1
+    c = None
+    for k in range(1, n):
+        if not j * k % q1:
+            continue
+        if not j * (k + 1) % q1:
+            scale *= (-1 if j * field._log_neg_one % q1 else 1) * field.q
+            continue
+        jac = sub.fold(_jacobi_tally(field, j, k))
+        c = jac if c is None else sub.fold(_mul_low(c, jac, len(c) + len(jac) - 1))
+    c = [scale] if c is None else [scale * v for v in sub.from_power_counts(c).coeffs]
+    jn = j * n % q1
+    if jn:
+        # x = g^s adds zeta_(q-1)^u * zeta_p^t, u = jn*s, counted at p*u + t
+        tally = [0] * (p * q1)
+        for s, t in enumerate(_twisted_traces(chi.table, lam)):
+            tally[p * (jn * s % q1) + t] += 1
+        if q1 % 2 == 0:  # zeta_(q-1)^(q1/2) = -1
+            half = p * q1 // 2
+            tally = list(map(operator.sub, tally[:half], tally[half:]))
+        last = tally[p - 1 :: p]
+        blocks = [list(map(operator.sub, tally[t::p], last)) for t in range(p - 1)]
+    else:
+        blocks = [[1]]
+    width = len(c) + len(blocks[0]) - 1
+    packed = [0] * (width * len(blocks))
+    for t, b in enumerate(blocks):
+        packed[width * t : width * t + len(b)] = b
+    packed = _mul_low(c, packed, len(packed))
+    # p*i + (q-1)*t are distinct for t < p, since gcd(p, q-1) = 1
+    shift = p * (-j * chi.table.dlog[y.enc] % q1)
+    counts = [0] * (shift + q1 * (len(blocks) - 1) + p * width)
+    for t in range(len(blocks)):
+        start = shift + q1 * t
+        counts[start : start + p * width : p] = packed[width * t : width * t + width]
+    return ring.from_power_counts(counts)
 
 
 @lru_cache(maxsize=64)
@@ -221,3 +320,4 @@ def kloosterman_bruteforce(
 def clear_character_caches() -> None:
     _kloosterman_levels.cache_clear()
     _log_traces.cache_clear()
+    _one_minus_logs.cache_clear()

@@ -187,18 +187,14 @@ class CyclotomicRing:
             raise ValueError(f"expected {self.degree} coefficients, got {len(cs)}")
         return CyclotomicInteger(self.m, cs)
 
-    def from_power_counts(self, counts) -> "CyclotomicInteger":
-        """Exact value of sum(counts[k] * zeta^k); indices beyond m wrap.
+    def fold(self, counts) -> list[int]:
+        """Power counts of the same value as counts, in fewer terms.
 
-        Folding modulo x^m - 1 leaves f of length at most m.  For even m,
+        Folding modulo x^m - 1 leaves at most m terms.  For even m,
         zeta^(m/2) = -1 (Phi_m divides x^(m/2) + 1), so a second fold
-        subtracts f's top half from its bottom half and leaves at most m/2
-        terms.  Reversed, the quotient of f by Phi_m is f's reversed top
-        times the inverse of Phi_m's reversal, so at most m/2 - d of the
-        inverse's terms are read, and the remainder needs only the
-        d = phi(m) low coefficients of quotient * Phi_m.
+        subtracts the top half from the bottom half and leaves at most m/2.
         """
-        m, d = self.m, self.degree
+        m = self.m
         f = list(counts[:m])
         for start in range(m, len(counts), m):
             chunk = counts[start:start + m]
@@ -207,6 +203,19 @@ class CyclotomicRing:
             top = f[m // 2:]
             del f[m // 2:]
             f[: len(top)] = map(operator.sub, f, top)
+        return f
+
+    def from_power_counts(self, counts) -> "CyclotomicInteger":
+        """Exact value of sum(counts[k] * zeta^k); indices beyond m wrap.
+
+        After ``fold``, at most m/2 terms are left for even m.  Reversed,
+        the quotient of f by Phi_m is f's reversed top times the inverse of
+        Phi_m's reversal, so at most m/2 - d of the inverse's terms are read,
+        and the remainder needs only the d = phi(m) low coefficients of
+        quotient * Phi_m.
+        """
+        m, d = self.m, self.degree
+        f = self.fold(counts)
         f.extend([0] * (d - len(f)))
         if self._inverse is None:
             # the quotient has at most len(f) - d terms, and Phi_m is

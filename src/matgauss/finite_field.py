@@ -11,7 +11,8 @@ encoding order) of full order, which makes character indexing reproducible.
 Arithmetic reads log, antilog and Zech tables, one path for every p and e
 (see ``Field``).  They are built by walking x -> g * x through a table of
 that F_p-linear map, so the polynomial helpers serve only the modulus and
-generator searches and the map's e columns.
+generator searches and the map's e columns.  The trace, also F_p-linear, is
+a table of q entries built from its values on the digits.
 """
 
 from __future__ import annotations
@@ -158,12 +159,13 @@ class Field:
     With g the canonical generator, ``_exp[k]`` = g^k, stored twice over so a
     sum of two logs needs no reduction; ``_log`` inverts it, -1 at zero; and
     the Zech log ``_zech[k]`` = log(1 + g^k), -1 where 1 + g^k = 0, also twice
-    over so any difference of two logs indexes it.  A new field is an
-    ``_UnbuiltField``, which builds them on first arithmetic.
+    over so any difference of two logs indexes it; and ``_trace[x]`` = tr(x).
+    A new field is an ``_UnbuiltField``, which builds them on first
+    arithmetic.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_hash", "_log_neg_one", "_mult_table",
-                 "_trace_basis", "_exp", "_log", "_zech")
+                 "_trace", "_exp", "_log", "_zech")
 
     def __new__(cls, p: int, e: int, modulus: tuple[int, ...]):
         return object.__new__(_UnbuiltField)
@@ -266,12 +268,7 @@ class Field:
 
     def trace_enc(self, a: int) -> int:
         """Trace down to F_p, as an integer in [0, p)."""
-        p = self.p
-        t = 0
-        for b in self._trace_basis:
-            t += a % p * b
-            a //= p
-        return t % p
+        return self._trace[a]
 
     def _compute_trace_basis(self) -> tuple[int, ...]:
         """tr(x^i) = sum of (x^i)^(p^j) for i < e; the trace is F_p-linear."""
@@ -297,11 +294,11 @@ class _UnbuiltField(Field):
 
     def __getattr__(self, name):
         # reached only for an unset slot
-        if name not in ("_exp", "_log", "_zech", "_trace_basis"):
+        if name not in ("_exp", "_log", "_zech", "_trace"):
             raise AttributeError(name)
         self._exp, self._log, self._zech = _build_tables(self)
         self.__class__ = Field
-        self._trace_basis = self._compute_trace_basis()
+        self._trace = tuple(linear_table(self.p, self._compute_trace_basis()))
         return getattr(self, name)
 
 

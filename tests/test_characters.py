@@ -7,12 +7,14 @@ from matgauss.budget import EnumerationBudgetError
 from matgauss.characters import (
     AdditiveCharacter,
     MultiplicativeCharacter,
+    _jacobi_tally,
     classical_gauss_sum,
     kloosterman,
     kloosterman_bruteforce,
+    twisted_gauss_power,
     value_ring,
 )
-from matgauss.cyclotomic import zeta_pow
+from matgauss.cyclotomic import get_ring, zeta_pow
 from matgauss.finite_field import build_mult_table, make_field
 from matgauss.gauss_sums import factor_prime_power
 
@@ -224,6 +226,89 @@ class TestClassicalGaussSum:
                     if b.enc:
                         twisted = AdditiveCharacter(f.element(a) * b)
                         assert chi.conjugate()(b) * g == classical_gauss_sum(chi, twisted), (j, a, b.enc)
+
+
+def lifted_jacobi(f, j, k):
+    """J(chi_j, chi_j^k) in Z[zeta_m], read from its tally of zeta_(q-1) powers."""
+    counts = [0] * (f.p * (f.q - 1))
+    counts[:: f.p] = _jacobi_tally(f, j, k)
+    return value_ring(f).from_power_counts(counts)
+
+
+class TestJacobiSums:
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27])
+    def test_tally_equals_the_literal_sum(self, q):
+        p, e = factor_prime_power(q)
+        f = make_field(p, e)
+        table = build_mult_table(f)
+        ring = value_ring(f)
+        one = f.one().enc
+        for j in range(1, q - 1):
+            chi = MultiplicativeCharacter(table, j)
+            for k in {1, 2, q - 2}:
+                psi = MultiplicativeCharacter(table, j * k % (q - 1))
+                total = ring.zero()
+                for x in f.elements():
+                    if x.enc not in (0, one):
+                        total = total + chi(x) * psi(f.element(f.sub_enc(one, x.enc)))
+                assert lifted_jacobi(f, j, k) == total, (j, k)
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27])
+    def test_norm_is_q(self, q):
+        # J * conj(J) = q when chi, chi^k and chi^(k+1) are all nontrivial;
+        # conj(J(chi, chi^k)) = J(conj chi, conj chi^k)
+        p, e = factor_prime_power(q)
+        f = make_field(p, e)
+        sub = get_ring(q - 1)
+        for j in range(1, q - 1):
+            for k in range(1, q - 1):
+                if j * k % (q - 1) and j * (k + 1) % (q - 1):
+                    jac = sub.from_power_counts(_jacobi_tally(f, j, k))
+                    bar = sub.from_power_counts(_jacobi_tally(f, q - 1 - j, k))
+                    assert jac * bar == q, (j, k)
+
+    @pytest.mark.parametrize("q", [7, 9, 16, 25])
+    def test_factors_a_product_of_gauss_sums(self, q):
+        # G(chi) G(chi^k) = J(chi, chi^k) G(chi^(k+1)) for chi^(k+1) nontrivial
+        p, e = factor_prime_power(q)
+        f = make_field(p, e)
+        table = build_mult_table(f)
+        lam = AdditiveCharacter(f.element(random.Random(f"jacobi:{q}").randrange(1, q)))
+        gauss = [classical_gauss_sum(MultiplicativeCharacter(table, j), lam) for j in range(q - 1)]
+        for j in range(1, q - 1):
+            for k in range(1, q - 1):
+                if j * (k + 1) % (q - 1):
+                    expected = lifted_jacobi(f, j, k) * gauss[j * (k + 1) % (q - 1)]
+                    assert gauss[j] * gauss[j * k % (q - 1)] == expected, (j, k)
+
+
+class TestTwistedGaussPower:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13])
+    def test_every_character_against_repeated_products(self, q):
+        p, e = factor_prime_power(q)
+        f = make_field(p, e)
+        table = build_mult_table(f)
+        rng = random.Random(f"power:{q}")
+        for j in range(max(q - 1, 1)):
+            chi = MultiplicativeCharacter(table, j)
+            lam = AdditiveCharacter(f.element(rng.randrange(1, q)))
+            g = classical_gauss_sum(chi, lam)
+            power = g
+            for n in range(1, 6):
+                y = f.element(rng.randrange(1, q))
+                assert twisted_gauss_power(chi, lam, n, y) == chi.conjugate()(y) * power, (j, n)
+                power = power * g
+
+    def test_rejects_bad_arguments(self):
+        f, chi, lam = field_and_chars(5, 1)
+        with pytest.raises(ValueError):
+            twisted_gauss_power(chi, lam, 0, f.one())
+        with pytest.raises(ValueError):
+            twisted_gauss_power(chi, lam, 2, f.zero())
+        with pytest.raises(ValueError):
+            twisted_gauss_power(chi, AdditiveCharacter(f.zero()), 2, f.one())
+        with pytest.raises(ValueError):
+            twisted_gauss_power(chi, lam, 2, make_field(7).one())
 
 
 class TestKloosterman:

@@ -303,6 +303,15 @@ class TestPowerCounts:
         counts[7] = 3  # zeta^7 = zeta^2
         assert ring.from_power_counts(counts) == 3 * zeta_pow(5, 2)
 
+    @pytest.mark.parametrize("m", [1, 2, 12, 105, 126])
+    def test_fold_keeps_the_value_in_fewer_terms(self, m):
+        ring = get_ring(m)
+        rng = random.Random(f"fold:{m}")
+        counts = [rng.randint(-9, 9) for _ in range(3 * m - 1)]
+        folded = ring.fold(counts)
+        assert len(folded) == (m // 2 if m % 2 == 0 else m)
+        assert schoolbook_reduce(folded, m) == schoolbook_reduce(counts, m)
+
 
 # Phi_105 has a coefficient -2; 930, 2046 and 3120 (the value rings of
 # q = 31, 1024 and 625) have four distinct prime factors.  Every even order

@@ -221,6 +221,16 @@ class TestTrace:
         for x in f.elements():
             assert f.trace_enc(x.enc) == x.enc
 
+    @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
+    def test_table_equals_the_sum_of_conjugates(self, p, e):
+        # tr(x) = x + x^p + ... + x^(p^(e-1)), an element of the prime field
+        f = make_field(p, e)
+        for x in f.elements():
+            total = f.zero()
+            for i in range(e):
+                total = total + x ** (p**i)
+            assert f.trace_enc(x.enc) == total.enc
+
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
     def test_trace_additive_and_surjective(self, p, e):
         f = make_field(p, e)

@@ -101,22 +101,25 @@ class TestGlClosedForm:
                 assert gl_gauss_closed(u_mat, chi, lam) == gl_gauss_bruteforce(u_mat, chi, lam)
                 assert sl_gauss_closed(u_mat, lam) == sl_gauss_bruteforce(u_mat, lam)
 
-    @pytest.mark.parametrize("q", [243, 1024])
+    @pytest.mark.parametrize("q", [243, 343, 625, 1024])
     def test_full_rank_past_enumeration_matches_the_untwisted_route(self, q):
         # conj(chi)(det U) * G(chi, lambda)^n, written out with n - 1 plain
-        # products and a root power
+        # products and a root power.  Besides characters of full order, the
+        # trivial one and those of order 2, 3 and 4 make chi^k trivial at
+        # some k < n and at k = n.
         p, e = factor_prime_power(q)
         f = make_field(p, e)
         table = build_mult_table(f)
         ring = value_ring(f)
         rng = random.Random(f"untwisted:{q}")
         full_order = [j for j in range(1, q - 1) if math.gcd(j, q - 1) == 1]
-        for j in rng.sample(full_order, 3):
+        low_order = [(q - 1) // r for r in (2, 3, 4) if (q - 1) % r == 0]
+        for j in rng.sample(full_order, 2) + low_order + [0]:
             chi = MultiplicativeCharacter(table, j)
             lam = AdditiveCharacter(f.element(rng.randrange(1, q)))
             g = classical_gauss_sum(chi, lam)
             power = g
-            for n in range(1, 5):
+            for n in range(1, 6):
                 u_mat = random_invertible(f, n, rng)
                 root = ring.root_power(chi.conjugate().exponent(u_mat.det()))
                 expected = q ** math.comb(n, 2) * (power * root)
