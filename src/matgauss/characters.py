@@ -113,16 +113,6 @@ def _log_traces(field: Field) -> tuple[int, ...]:
     return tuple(map(field._trace.__getitem__, field._exp[: field.q - 1]))
 
 
-@lru_cache(maxsize=64)
-def _one_minus_logs(field: Field) -> tuple[int, ...]:
-    """log(1 - g^s) for s in [0, q-1), -1 at s = 0.
-
-    1 - g^s = 1 + g^(s + log(-1)), so this is a slice of the Zech table.
-    """
-    start = field._log_neg_one
-    return field._zech[start : start + field.q - 1]
-
-
 def _twisted_traces(table: MultGroupTable, lam: AdditiveCharacter) -> tuple[int, ...]:
     """tr(a * g^s) for s in [0, q-1), lam = lam_a: for a = g^alpha, entry
     alpha + s of the trace table, so no field operation runs."""
@@ -160,13 +150,15 @@ def classical_gauss_sum(chi: MultiplicativeCharacter, lam: AdditiveCharacter) ->
 def _jacobi_tally(field: Field, j: int, k: int) -> list[int]:
     """Power counts of zeta_(q-1) in J(chi_j, chi_j^k).
 
-    J(chi, psi) = sum over x != 0, 1 of chi(x) * psi(1 - x); for x = g^s
-    the term is zeta_(q-1)^(j*s + j*k*log(1 - x)), so no field operation runs.
+    J(chi, psi) = sum over x != 0, 1 of chi(x) * psi(1 - x).  For x = g^s,
+    1 - x = 1 + g^(s + log(-1)), so log(1 - x) is a Zech entry and the term
+    is zeta_(q-1)^(j*s + j*k*log(1 - x)), found without any field operation.
     """
     q1 = field.q - 1
+    h = field._log_neg_one
     jk = j * k
     counts = [0] * q1
-    for s, t in enumerate(_one_minus_logs(field)[1:], 1):
+    for s, t in enumerate(field._zech[h + 1 : h + q1], 1):
         counts[(j * s + jk * t) % q1] += 1
     return counts
 
@@ -188,7 +180,9 @@ def twisted_gauss_power(chi: MultiplicativeCharacter, lam: AdditiveCharacter, n:
     p - 1 products c * (A_t - A_(p-1)): one Kronecker product of c with those
     blocks laid end to end.  Product t lands at zeta_m^(p*i + (q-1)*t),
     shifted by the twist conj(chi)(y), and the whole is reduced once in
-    Z[zeta_m].
+    Z[zeta_m].  (Placing c at every p-th power of zeta_m instead, times the
+    folded tally of G(chi^n), spreads c over p times the terms: the closed
+    form then takes about twice the time at q = 3^10.)
     """
     field = chi.field
     if lam.field != field or y.field != field:
@@ -320,4 +314,3 @@ def kloosterman_bruteforce(
 def clear_character_caches() -> None:
     _kloosterman_levels.cache_clear()
     _log_traces.cache_clear()
-    _one_minus_logs.cache_clear()

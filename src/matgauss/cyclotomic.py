@@ -226,7 +226,10 @@ class CyclotomicRing:
         quot = _mul_low(f[: d - 1 : -1], self._inverse, len(f) - d)
         quot.reverse()
         low = _mul_low(quot, self.polynomial, d)
-        return CyclotomicInteger(m, tuple(map(operator.sub, f[:d], low)))
+        # a list first: tuple() of a map builds its result by resizing, and
+        # CPython files every such tuple of under 20 entries, once freed, on a
+        # free list that then grows by one per call, up to 2000 entries
+        return CyclotomicInteger(m, tuple(list(map(operator.sub, f[:d], low))))
 
 
 @lru_cache(maxsize=32)

@@ -379,6 +379,22 @@ def test_reduction_memory_is_linear_in_m():
     assert peak < 2 * 10**6
 
 
+def test_repeated_reductions_in_a_small_ring_keep_no_memory():
+    # Z[zeta_30], degree 8, is the Jacobi sums' ring at q = 31; a value
+    # tuple that CPython keeps on a free list once freed stays traced
+    ring = CyclotomicRing(30)
+    counts = list(range(30))
+    ring.from_power_counts(counts)
+    tracemalloc.start()
+    try:
+        for _ in range(500):
+            ring.from_power_counts(counts)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096
+
+
 def test_json_serialization_shape():
     v = zeta_pow(6, 1) * 2 - 1
     doc = v.to_json_dict()

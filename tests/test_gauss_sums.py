@@ -114,7 +114,7 @@ class TestGlClosedForm:
         rng = random.Random(f"untwisted:{q}")
         full_order = [j for j in range(1, q - 1) if math.gcd(j, q - 1) == 1]
         low_order = [(q - 1) // r for r in (2, 3, 4) if (q - 1) % r == 0]
-        for j in rng.sample(full_order, 2) + low_order + [0]:
+        for j in rng.sample(full_order, 3) + low_order + [0]:
             chi = MultiplicativeCharacter(table, j)
             lam = AdditiveCharacter(f.element(rng.randrange(1, q)))
             g = classical_gauss_sum(chi, lam)
