@@ -25,7 +25,6 @@ from .cyclotomic import (
     CyclotomicRing,
     cyclotomic_polynomial,
     get_ring,
-    zeta_pow,
 )
 from .finite_field import (
     DEFAULT_MAX_Q,
@@ -53,14 +52,11 @@ from .matrix_fq import (
     MatrixFq,
     canonical_rank_matrix,
     clear_member_cache,
-    enumerate_gl,
-    enumerate_sl,
     frobenius_product,
     gl_members,
     random_invertible,
     random_matrix,
     random_rank_matrix,
-    sl_members,
 )
 
 __version__ = "0.1.0"

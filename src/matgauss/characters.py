@@ -258,8 +258,8 @@ def _kloosterman_levels(lam: AdditiveCharacter, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def kloosterman(lam: AdditiveCharacter, n: int, y: FieldElement) -> CyclotomicInteger:
-    """Hyper-Kloosterman sum over n-tuples of product y, via the DP recursion."""
+def _kloosterman_field(lam: AdditiveCharacter, n: int, y: FieldElement) -> Field:
+    """The field of a Kloosterman sum's arguments, once they are checked."""
     if n < 1:
         raise ValueError(f"tuple length must be >= 1, got {n}")
     if y.enc == 0:
@@ -267,6 +267,12 @@ def kloosterman(lam: AdditiveCharacter, n: int, y: FieldElement) -> CyclotomicIn
     field = lam.field
     if y.field != field:
         raise ValueError("argument from a different field")
+    return field
+
+
+def kloosterman(lam: AdditiveCharacter, n: int, y: FieldElement) -> CyclotomicInteger:
+    """Hyper-Kloosterman sum over n-tuples of product y, via the DP recursion."""
+    field = _kloosterman_field(lam, n, y)
     ring = value_ring(field)
     q1 = field.q - 1
     base = field.p * build_mult_table(field).dlog[y.enc]
@@ -281,13 +287,7 @@ def kloosterman_bruteforce(
     lam: AdditiveCharacter, n: int, y: FieldElement, budget: int | None = None
 ) -> CyclotomicInteger:
     """Oracle for the DP: enumerate all (q-1)^(n-1) tuples directly."""
-    if n < 1:
-        raise ValueError(f"tuple length must be >= 1, got {n}")
-    if y.enc == 0:
-        raise ValueError("Kloosterman sums need a nonzero product target")
-    field = lam.field
-    if y.field != field:
-        raise ValueError("argument from a different field")
+    field = _kloosterman_field(lam, n, y)
     q = field.q
     check_budget((q - 1) ** (n - 1), budget, "hyper-Kloosterman enumeration")
     ring = value_ring(field)

@@ -139,20 +139,17 @@ def _cmd_eval(args, group: str) -> int:
         closed = gl_gauss_closed(U, chi, lam)
         case = gl_case_label(u, args.n, chi)
         chi_index = chi.index
-        if args.check:
-            try:
-                oracle = gl_gauss_bruteforce(U, chi, lam)
-            except EnumerationBudgetError as err:
-                note = f"oracle skipped: {err}"
+        run_oracle = lambda: gl_gauss_bruteforce(U, chi, lam)
     else:
         closed = sl_gauss_closed(U, lam)
         case = CASE_SL_FULL_RANK if u == args.n else CASE_SL_DEFICIENT
         chi_index = None
-        if args.check:
-            try:
-                oracle = sl_gauss_bruteforce(U, lam)
-            except EnumerationBudgetError as err:
-                note = f"oracle skipped: {err}"
+        run_oracle = lambda: sl_gauss_bruteforce(U, lam)
+    if args.check:
+        try:
+            oracle = run_oracle()
+        except EnumerationBudgetError as err:
+            note = f"oracle skipped: {err}"
     report = SumReport(
         check=CHECK_ORACLE, case_label=case, u=u, n=args.n,
         p=fld.p, e=fld.e, q=fld.q, chi_index=chi_index,
@@ -272,10 +269,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         parser.error(f"unknown command {args.command}")
-    except (ValueError, ZeroDivisionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except EnumerationBudgetError as err:
+    except (ValueError, ZeroDivisionError, EnumerationBudgetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 2

@@ -226,9 +226,10 @@ class CyclotomicRing:
         quot = _mul_low(f[: d - 1 : -1], self._inverse, len(f) - d)
         quot.reverse()
         low = _mul_low(quot, self.polynomial, d)
-        # a list first: tuple() of a map builds its result by resizing, and
-        # CPython files every such tuple of under 20 entries, once freed, on a
-        # free list that then grows by one per call, up to 2000 entries
+        # a list first (here and in the ring operations below): tuple() of a
+        # map or generator builds its result by resizing, and CPython files
+        # every such tuple of under 20 entries, once freed, on a free list
+        # that then grows by one per call, up to 2000 entries
         return CyclotomicInteger(m, tuple(list(map(operator.sub, f[:d], low))))
 
 
@@ -262,7 +263,7 @@ class CyclotomicInteger:
         if rhs is None:
             return NotImplemented
         return CyclotomicInteger(
-            self.m, tuple(a + b for a, b in zip(self.coeffs, rhs.coeffs))
+            self.m, tuple([a + b for a, b in zip(self.coeffs, rhs.coeffs)])
         )
 
     __radd__ = __add__
@@ -272,7 +273,7 @@ class CyclotomicInteger:
         if rhs is None:
             return NotImplemented
         return CyclotomicInteger(
-            self.m, tuple(a - b for a, b in zip(self.coeffs, rhs.coeffs))
+            self.m, tuple([a - b for a, b in zip(self.coeffs, rhs.coeffs)])
         )
 
     def __rsub__(self, other):
@@ -282,11 +283,11 @@ class CyclotomicInteger:
         return rhs - self
 
     def __neg__(self):
-        return CyclotomicInteger(self.m, tuple(-a for a in self.coeffs))
+        return CyclotomicInteger(self.m, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CyclotomicInteger(self.m, tuple(a * other for a in self.coeffs))
+            return CyclotomicInteger(self.m, tuple([a * other for a in self.coeffs]))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -344,8 +345,3 @@ class CyclotomicInteger:
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "coeffs": list(self.coeffs), "abs": self.abs_embed()}
-
-
-def zeta_pow(m: int, k: int) -> CyclotomicInteger:
-    """zeta_m^k in the power basis (k may be any integer)."""
-    return get_ring(m).root_power(k)

@@ -142,43 +142,41 @@ def sl_order(field: Field, n: int) -> int:
 # Closed forms.
 
 
-def gl_gauss_closed(U: MatrixFq, chi: MultiplicativeCharacter,
-                    lam: AdditiveCharacter) -> CyclotomicInteger:
-    """Closed form of sum over GL_n of chi(det X) * lambda(U . X)."""
+def _closed_form_setup(U: MatrixFq, lam: AdditiveCharacter,
+                       chi: MultiplicativeCharacter | None):
+    """(q, value ring, rank of U, q^C) for a closed form, its arguments checked."""
     f = _require_shared_field(U, lam, chi)
     if lam.is_trivial:
         raise ValueError("the closed form requires a nontrivial additive character")
-    n = U.n
-    q = f.q
     ring = value_ring(f)  # a ring past MAX_ORDER fails before any field table
-    u = U.rank()
-    c2 = math.comb(n, 2)
+    return f.q, ring, U.rank(), f.q ** math.comb(U.n, 2)
+
+
+def gl_gauss_closed(U: MatrixFq, chi: MultiplicativeCharacter,
+                    lam: AdditiveCharacter) -> CyclotomicInteger:
+    """Closed form of sum over GL_n of chi(det X) * lambda(U . X)."""
+    q, ring, u, qc = _closed_form_setup(U, lam, chi)
+    n = U.n
     if u == n:
-        return q**c2 * twisted_gauss_power(chi, lam, n, U.det())
+        return qc * twisted_gauss_power(chi, lam, n, U.det())
     if chi.is_trivial:
         prod = 1
         for i in range(1, n - u + 1):
             prod *= q**i - 1
-        return ring.from_int((-1) ** u * q**c2 * prod)
+        return ring.from_int((-1) ** u * qc * prod)
     return ring.zero()
 
 
 def sl_gauss_closed(U: MatrixFq, lam: AdditiveCharacter) -> CyclotomicInteger:
     """Closed form of sum over SL_n of lambda(U . X)."""
-    f = _require_shared_field(U, lam, None)
-    if lam.is_trivial:
-        raise ValueError("the closed form requires a nontrivial additive character")
+    q, ring, u, qc = _closed_form_setup(U, lam, None)
     n = U.n
-    q = f.q
-    ring = value_ring(f)  # a ring past MAX_ORDER fails before any field table
-    u = U.rank()
-    c2 = math.comb(n, 2)
     if u == n:
-        return q**c2 * kloosterman(lam, n, U.det())
+        return qc * kloosterman(lam, n, U.det())
     prod = 1
     for i in range(2, n - u + 1):
         prod *= q**i - 1
-    return ring.from_int((-1) ** u * q**c2 * prod)
+    return ring.from_int((-1) ** u * qc * prod)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Square matrices over F_q.
 
 Provides det and rank (one elimination), trace, partial trace, the
-entrywise (Frobenius) product, and exhaustive enumeration of GL_n and SL_n.
+entrywise (Frobenius) product, and exhaustive enumeration of GL_n through
+``gl_blocks``.
 
 Enumeration walks GL_n row by row, in lexicographic order of the flattened
 entry encodings: each (n-1)-row prefix gets its cofactor vector w once, and
 det(X) = <w, x> is tabulated over every last row x, so no candidate needs an
 elimination.  A group is a list of blocks (prefix, prefix trace, dets), one per
 independent prefix, with dets[k] = det(X) for the k-th last row; groups under
-a size cap keep their blocks in a cache.  The brute-force oracles read the
-blocks directly, and ``gl_members``/``sl_members`` flatten them into the
-(flat entries, det, trace) member stream.
+a size cap keep their blocks in a cache.  ``gl_blocks`` is the one
+enumeration interface: the brute-force oracles, the trace count and SL_n (the
+members with det 1) all read the blocks directly.
 """
 
 from __future__ import annotations
@@ -25,11 +26,8 @@ from .finite_field import Field, FieldElement
 __all__ = [
     "MatrixFq",
     "frobenius_product",
-    "enumerate_gl",
-    "enumerate_sl",
     "gl_blocks",
     "gl_members",
-    "sl_members",
     "clear_member_cache",
     "canonical_rank_matrix",
     "random_matrix",
@@ -88,10 +86,6 @@ class MatrixFq:
     def zero(cls, field: Field, n: int) -> "MatrixFq":
         return cls(field, [[0] * n for _ in range(n)])
 
-    @classmethod
-    def from_flat(cls, field: Field, flat, n: int) -> "MatrixFq":
-        return cls(field, [flat[i * n:(i + 1) * n] for i in range(n)])
-
     # -- basic accessors --------------------------------------------------------
 
     def __getitem__(self, ij) -> FieldElement:
@@ -135,10 +129,6 @@ class MatrixFq:
                 row.append(s)
             out.append(row)
         return MatrixFq(f, out)
-
-    def transpose(self) -> "MatrixFq":
-        n = self.n
-        return MatrixFq(self.field, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def trace(self) -> FieldElement:
         return self.partial_trace(self.n)
@@ -227,8 +217,8 @@ def _gl_blocks(field: Field, n: int) -> Iterator[tuple[tuple[int, ...], int, tup
 
     A block is (prefix, prefix trace, dets), where dets[k] is det(X) for the
     k-th last row x in ``itertools.product`` order, 0 where X is singular.
-    Prefixes come in lexicographic order, so the blocks chain into the
-    lexicographic member stream.  The signed (n-1)-minors of a prefix form
+    Prefixes come in lexicographic order, and so, block by block, do the
+    members of ``gl_blocks``.  The signed (n-1)-minors of a prefix form
     its cofactor vector w, with det(X) = <w, x> for every last row x; w = 0
     exactly when the prefix rows are dependent, and then the prefix is
     skipped.  The prefix trace is the sum of the first n - 1 diagonal
@@ -285,7 +275,9 @@ def gl_members(field: Field, n: int,
     Yields each invertible matrix exactly once, in lexicographic order of the
     flattened entry encodings, by flattening ``gl_blocks``.  A group under
     the cap is walked into the cache when this is called, not when the
-    stream is first read.
+    stream is first read.  Nothing in the package reads it: it stays only
+    for the benchmark's traced round (perfbench's ``matrix_fq.gl_members``
+    span) until that span times ``gl_blocks`` instead.
     """
     return _flatten(field, n, gl_blocks(field, n, budget))
 
@@ -300,23 +292,6 @@ def _flatten(field: Field, n: int, blocks) -> Iterator[tuple[tuple[int, ...], in
         for x, d, t in zip(last_rows, dets, traces):
             if d:
                 yield prefix + x, d, t
-
-
-def sl_members(field: Field, n: int, budget: int | None = None):
-    """Like gl_members, restricted to determinant one."""
-    return (item for item in gl_members(field, n, budget) if item[1] == 1)
-
-
-def enumerate_gl(field: Field, n: int, budget: int | None = None) -> Iterator[MatrixFq]:
-    """All of GL_n(F_q), each exactly once, in the canonical order."""
-    for flat, _det, _tr in gl_members(field, n, budget):
-        yield MatrixFq.from_flat(field, flat, n)
-
-
-def enumerate_sl(field: Field, n: int, budget: int | None = None) -> Iterator[MatrixFq]:
-    """All of SL_n(F_q), each exactly once, in the canonical order."""
-    for flat, _det, _tr in sl_members(field, n, budget):
-        yield MatrixFq.from_flat(field, flat, n)
 
 
 def clear_member_cache() -> None:

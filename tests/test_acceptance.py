@@ -34,12 +34,13 @@ from matgauss.gauss_sums import (
 from matgauss.matrix_fq import (
     MatrixFq,
     canonical_rank_matrix,
-    enumerate_gl,
-    enumerate_sl,
+    gl_blocks,
     random_invertible,
     random_matrix,
     random_rank_matrix,
 )
+
+from literal_groups import literal_gl, literal_sl
 
 GRID = [(1, 2), (1, 3), (1, 5), (1, 7), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
 RANDOM_SAMPLES = 5
@@ -292,8 +293,9 @@ def test_kloosterman_dp_matches_its_fourier_expansion():
 
 
 def test_group_orders_match_iterators():
-    with criterion("group orders: iterator counts match the product formulas"):
+    with criterion("group orders: enumeration counts match the product formulas"):
         for n, q in GRID:
             f, _, _ = grid_field(q)
-            assert sum(1 for _ in enumerate_gl(f, n)) == gl_order(f, n), (n, q)
-            assert sum(1 for _ in enumerate_sl(f, n)) == sl_order(f, n), (n, q)
+            dets = [d for _prefix, _tr, block in gl_blocks(f, n) for d in block]
+            assert len(literal_gl(f, n)) == len(dets) - dets.count(0) == gl_order(f, n), (n, q)
+            assert len(literal_sl(f, n)) == dets.count(1) == sl_order(f, n), (n, q)

@@ -11,7 +11,6 @@ from matgauss.cyclotomic import (
     _mul_low,
     cyclotomic_polynomial,
     get_ring,
-    zeta_pow,
 )
 
 # little-endian coefficients of the first few cyclotomic polynomials,
@@ -170,24 +169,24 @@ class TestPastTheNaiveOracle:
 class TestRootPowers:
     def test_power_zero_is_one(self):
         for m in (1, 2, 5, 12):
-            assert zeta_pow(m, 0) == 1
+            assert get_ring(m).root_power(0) == 1
 
     def test_zeta_two_is_minus_one(self):
-        assert zeta_pow(2, 1) == -1
+        assert get_ring(2).root_power(1) == -1
 
     def test_zeta_four_cubed(self):
-        assert zeta_pow(4, 3).coeffs == (0, -1)
+        assert get_ring(4).root_power(3).coeffs == (0, -1)
 
     def test_full_cycle(self):
         for m in range(1, 25):
-            assert zeta_pow(m, m) == 1
-            assert zeta_pow(m, -1) == zeta_pow(m, m - 1)
+            assert get_ring(m).root_power(m) == 1
+            assert get_ring(m).root_power(-1) == get_ring(m).root_power(m - 1)
 
     def test_all_powers_sum_to_zero(self):
         for m in range(2, 31):
             total = get_ring(m).zero()
             for k in range(m):
-                total = total + zeta_pow(m, k)
+                total = total + get_ring(m).root_power(k)
             assert total.is_zero()
 
     @pytest.mark.parametrize("m", [7, 12, 30, 100, 360, 3660])
@@ -195,7 +194,7 @@ class TestRootPowers:
         rng = random.Random(f"roundtrip:{m}")
         ks = {0, 1, m - 1} | {rng.randrange(m) for _ in range(20)}
         for k in ks:
-            v = zeta_pow(m, k)
+            v = get_ring(m).root_power(k)
             target = cmath.exp(2j * cmath.pi * k / m)
             total = sum(
                 c * cmath.exp(2j * cmath.pi * i / m)
@@ -212,19 +211,19 @@ class TestRingArithmetic:
 
     def test_cube_roots_sum(self):
         # 1 + zeta + zeta^2 = 0 for the third roots of unity
-        assert zeta_pow(3, 1) + zeta_pow(3, 2) == -1
+        assert get_ring(3).root_power(1) + get_ring(3).root_power(2) == -1
 
     def test_zeta4_squared(self):
-        assert zeta_pow(4, 1) * zeta_pow(4, 1) == -1
+        assert get_ring(4).root_power(1) * get_ring(4).root_power(1) == -1
 
     def test_mixed_orders_raise(self):
         with pytest.raises(ValueError):
-            zeta_pow(4, 1) + zeta_pow(6, 1)
+            get_ring(4).root_power(1) + get_ring(6).root_power(1)
         with pytest.raises(ValueError):
-            zeta_pow(4, 1) * zeta_pow(6, 1)
+            get_ring(4).root_power(1) * get_ring(6).root_power(1)
 
     def test_integer_promotion(self):
-        v = zeta_pow(5, 2)
+        v = get_ring(5).root_power(2)
         assert (v + 0) == v
         assert 3 * v == v + v + v
         assert (1 - v) + v == 1
@@ -246,7 +245,7 @@ class TestRingArithmetic:
             assert a * (b + c) == a * b + a * c
 
     def test_powers_match_repeated_multiplication(self):
-        v = zeta_pow(12, 5) + 2
+        v = get_ring(12).root_power(5) + 2
         acc = get_ring(12).one()
         for k in range(6):
             assert v**k == acc
@@ -261,7 +260,7 @@ class TestRingArithmetic:
             return mul(self, other)
 
         monkeypatch.setattr(CyclotomicInteger, "__mul__", counting)
-        v = zeta_pow(12, 5) + 2
+        v = get_ring(12).root_power(5) + 2
         for k in range(10):
             calls.clear()
             v**k
@@ -294,14 +293,14 @@ class TestPowerCounts:
             via_counts = ring.from_power_counts(counts)
             explicit = ring.zero()
             for k, c in enumerate(counts):
-                explicit = explicit + c * zeta_pow(12, k)
+                explicit = explicit + c * get_ring(12).root_power(k)
             assert via_counts == explicit
 
     def test_indices_wrap_modulo_m(self):
         ring = get_ring(5)
         counts = [0] * 9
         counts[7] = 3  # zeta^7 = zeta^2
-        assert ring.from_power_counts(counts) == 3 * zeta_pow(5, 2)
+        assert ring.from_power_counts(counts) == 3 * get_ring(5).root_power(2)
 
     @pytest.mark.parametrize("m", [1, 2, 12, 105, 126])
     def test_fold_keeps_the_value_in_fewer_terms(self, m):
@@ -379,16 +378,25 @@ def test_reduction_memory_is_linear_in_m():
     assert peak < 2 * 10**6
 
 
-def test_repeated_reductions_in_a_small_ring_keep_no_memory():
+@pytest.mark.parametrize("op", ["reduce", "add", "sub", "neg", "int-mul"])
+def test_repeated_reductions_in_a_small_ring_keep_no_memory(op):
     # Z[zeta_30], degree 8, is the Jacobi sums' ring at q = 31; a value
     # tuple that CPython keeps on a free list once freed stays traced
     ring = CyclotomicRing(30)
     counts = list(range(30))
-    ring.from_power_counts(counts)
+    v = ring.from_power_counts(counts)
+    run = {
+        "reduce": lambda: ring.from_power_counts(counts),
+        "add": lambda: v + v,
+        "sub": lambda: v - v,
+        "neg": lambda: -v,
+        "int-mul": lambda: 3 * v,  # q**C * value in every closed form
+    }[op]
+    run()
     tracemalloc.start()
     try:
         for _ in range(500):
-            ring.from_power_counts(counts)
+            run()
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -396,7 +404,7 @@ def test_repeated_reductions_in_a_small_ring_keep_no_memory():
 
 
 def test_json_serialization_shape():
-    v = zeta_pow(6, 1) * 2 - 1
+    v = get_ring(6).root_power(1) * 2 - 1
     doc = v.to_json_dict()
     assert doc["m"] == 6
     assert doc["coeffs"] == [-1, 2]

@@ -30,13 +30,12 @@ from matgauss.gauss_sums import (
 from matgauss.matrix_fq import (
     MatrixFq,
     clear_member_cache,
-    enumerate_gl,
-    enumerate_sl,
     frobenius_product,
-    gl_members,
     random_invertible,
     random_rank_matrix,
 )
+
+from literal_groups import literal_gl, literal_sl
 
 
 def setup_field(q, chi_index=0, twist=1):
@@ -161,10 +160,10 @@ class TestSlClosedForm:
 class TestOracleSums:
     """The oracles against the literal sum, written out with the characters.
 
-    Each group is walked once per U as MatrixFq objects; the members are
-    tallied by the pair (det X, U . X), and the sum of chi(det X) *
-    lam(U . X) is taken over the tally, every term through the characters'
-    own ``__call__``.
+    Each group is enumerated literally, every matrix filtered by det; per U
+    the members are tallied by the pair (det X, U . X), and the sum of
+    chi(det X) * lam(U . X) is taken over the tally, every term through the
+    characters' own ``__call__``.
     """
 
     @pytest.mark.parametrize("q", [4, 8, 9])
@@ -176,8 +175,8 @@ class TestOracleSums:
         rng = random.Random(f"oracle-sums:{q}")
         twists = (0, 1, rng.randrange(2, q))
         for U in (random_rank_matrix(f, 2, 2, rng), random_rank_matrix(f, 2, 1, rng)):
-            gl = Counter((X.det(), frobenius_product(U, X)) for X in enumerate_gl(f, 2))
-            sl = Counter(frobenius_product(U, X) for X in enumerate_sl(f, 2))
+            gl = Counter((det, frobenius_product(U, X)) for X, det in literal_gl(f, 2))
+            sl = Counter(frobenius_product(U, X) for X in literal_sl(f, 2))
             assert sum(gl.values()) == gl_order(f, 2)
             assert sum(sl.values()) == sl_order(f, 2)
             for a in twists:
@@ -199,9 +198,9 @@ def per_member_reference(q, n):
     """Test matrices U for GL_n(F_q) with every member tallied per U.
 
     The U are a full-rank one, a rank-deficient one and one whose last row
-    is zero.  Per U the GL members are tallied by (det X, U . X), with det X
-    from elimination, and the SL members by U . X; the trace tally counts
-    the trace field of ``gl_members``.
+    is zero.  The members come from the literal enumeration.  Per U the GL
+    members are tallied by (det X, U . X), with det X from elimination, and
+    the SL members by U . X; the trace tally counts tr X.
     """
     p, e = factor_prime_power(q)
     f = make_field(p, e)
@@ -210,9 +209,9 @@ def per_member_reference(q, n):
     zero_last = [list(row) for row in random_rank_matrix(f, n, n, rng).rows]
     zero_last[-1] = [0] * n
     mats = (random_rank_matrix(f, n, n, rng), deficient, MatrixFq(f, zero_last))
-    gl = [Counter((X.det(), frobenius_product(U, X)) for X in enumerate_gl(f, n)) for U in mats]
-    sl = [Counter(frobenius_product(U, X) for X in enumerate_sl(f, n)) for U in mats]
-    traces = Counter(tr for _flat, _det, tr in gl_members(f, n))
+    gl = [Counter((det, frobenius_product(U, X)) for X, det in literal_gl(f, n)) for U in mats]
+    sl = [Counter(frobenius_product(U, X) for X in literal_sl(f, n)) for U in mats]
+    traces = Counter(X.trace().enc for X, _det in literal_gl(f, n))
     return f, mats, gl, sl, traces, rng.randrange(1, q)
 
 

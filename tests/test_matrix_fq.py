@@ -12,14 +12,14 @@ from matgauss.finite_field import Field, make_field
 from matgauss.matrix_fq import (
     MatrixFq,
     clear_member_cache,
-    enumerate_gl,
-    enumerate_sl,
     frobenius_product,
+    gl_blocks,
     gl_members,
     random_invertible,
     random_rank_matrix,
-    sl_members,
 )
+
+from literal_groups import literal_gl, literal_sl, walked_members
 
 
 def order_gl(q, n):
@@ -91,7 +91,8 @@ class TestFrobeniusProduct:
             for _ in range(20):
                 u = MatrixFq(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)])
                 x = MatrixFq(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)])
-                assert frobenius_product(u, x) == (u.transpose() @ x).trace()
+                u_t = MatrixFq(f, zip(*u.rows))
+                assert frobenius_product(u, x) == (u_t @ x).trace()
                 assert frobenius_product(u, x) == frobenius_product(x, u)
 
 
@@ -128,7 +129,7 @@ class TestDetAndRank:
             for n in (2, 3):
                 for _ in range(15):
                     u = MatrixFq(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)])
-                    assert u.rank() == u.transpose().rank()
+                    assert u.rank() == MatrixFq(f, zip(*u.rows)).rank()
                     pm = random_invertible(f, n, rng)
                     qm = random_invertible(f, n, rng)
                     assert (pm @ u @ qm).rank() == u.rank()
@@ -193,54 +194,52 @@ class TestEliminate:
 
 
 class TestEnumeration:
+    """The members that ``gl_blocks`` lists against the literal enumeration."""
+
     def test_gl_counts(self):
-        assert sum(1 for _ in enumerate_gl(make_field(2), 2)) == 6
-        assert sum(1 for _ in enumerate_gl(make_field(2), 3)) == 168
-        assert sum(1 for _ in enumerate_gl(make_field(3), 2)) == 48
+        for p, n, order in [(2, 2, 6), (2, 3, 168), (3, 2, 48)]:
+            f = make_field(p)
+            assert len(walked_members(f, n)) == len(literal_gl(f, n)) == order
 
     def test_sl_counts(self):
-        assert sum(1 for _ in enumerate_sl(make_field(3), 2)) == 24
-        assert sum(1 for _ in enumerate_sl(make_field(2), 2)) == 6  # SL = GL over F_2
+        for p, order in [(3, 24), (2, 6)]:  # SL = GL over F_2
+            f = make_field(p)
+            walked = [x for x, d in walked_members(f, 2) if d == 1]
+            assert len(walked) == len(literal_sl(f, 2)) == order
 
     @pytest.mark.parametrize("q,p,e,n", [(2, 2, 1, 2), (3, 3, 1, 2), (4, 2, 2, 2), (2, 2, 1, 3)])
     def test_members_unique_invertible_and_complete(self, q, p, e, n):
         f = make_field(p, e)
-        seen = set()
-        for mat in enumerate_gl(f, n):
-            assert mat.det().enc != 0
-            assert mat not in seen
-            seen.add(mat)
-        assert len(seen) == order_gl(q, n)
+        walked = walked_members(f, n)
+        assert all(x.det().enc == d != 0 for x, d in walked)
+        assert len(set(x for x, _d in walked)) == len(walked) == order_gl(q, n)
+        assert [x for x, _d in walked] == [x for x, _det in literal_gl(f, n)]
 
     def test_sl_is_det_one_slice(self):
         f = make_field(3)
-        members = list(enumerate_sl(f, 2))
+        members = literal_sl(f, 2)
         assert all(m.det() == f.one() for m in members)
         assert len(members) == order_gl(3, 2) // 2
+        assert [x for x, d in walked_members(f, 2) if d == 1] == members
 
     def test_budget_enforced(self):
+        # the budget is checked when gl_blocks is called, before any block
         f = make_field(5)
         with pytest.raises(EnumerationBudgetError):
-            list(enumerate_gl(f, 3, budget=1000))
+            gl_blocks(f, 3, budget=1000)
 
     def test_env_var_budget(self, monkeypatch):
         monkeypatch.setenv("GAUSS_SUMS_BUDGET", "10")
         f = make_field(7)
         with pytest.raises(EnumerationBudgetError):
-            list(enumerate_gl(f, 2))
+            gl_blocks(f, 2)
 
 
 @lru_cache(maxsize=None)
 def reference_members(p, e, n):
-    """GL_n(F_q) as every candidate matrix that MatrixFq.det() keeps."""
+    """GL_n(F_q) from the literal enumeration as (flat entries, det, trace)."""
     f = make_field(p, e)
-    out = []
-    for flat in itertools.product(range(f.q), repeat=n * n):
-        x = MatrixFq.from_flat(f, flat, n)
-        det = x.det().enc
-        if det:
-            out.append((flat, det, x.partial_trace(n).enc))
-    return tuple(out)
+    return tuple((sum(x.rows, ()), det.enc, x.trace().enc) for x, det in literal_gl(f, n))
 
 
 class TestRowWalk:
@@ -263,7 +262,6 @@ class TestRowWalk:
         expected = reference_members(p, e, n)
         assert tuple(members) == expected
         assert len(expected) == order_gl(f.q, n)
-        assert tuple(sl_members(f, n)) == tuple(m for m in expected if m[1] == 1)
 
 
 class TestBlockCache:

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +9,36 @@ import matgauss
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(matgauss.__path__, "matgauss."))
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_all_entry_resolves(name):
     module = importlib.import_module(name)
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert missing == []
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    """Whether ``import module`` (name None) or ``from module import name`` works."""
+    try:
+        mod = importlib.import_module(module)
+        return name is None or hasattr(mod, name) or bool(importlib.import_module(f"{module}.{name}"))
+    except ImportError:
+        return False
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "worker.py"])
+def test_benchmark_imports_from_matgauss_resolve(script):
+    # the benchmark imports these at run time, so a name deleted from the
+    # package fails its runs while every other test here still passes
+    tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "matgauss"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "matgauss":
+            names += [(node.module, alias.name) for alias in node.names]
+    assert names
+    assert [(module, name) for module, name in names if not _resolves(module, name)] == []
