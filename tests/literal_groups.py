@@ -31,11 +31,11 @@ def literal_sl(field, n):
     return [x for x, det in literal_gl(field, n) if det == one]
 
 
-def walked_members(field, n, budget=None):
+def walked_members(field, n):
     """The (X, det encoding) members that ``gl_blocks`` lists, in its order."""
     last_rows = list(itertools.product(range(field.q), repeat=n))
     out = []
-    for prefix, _tr, dets in gl_blocks(field, n, budget):
+    for prefix, _tr, dets in gl_blocks(field, n):
         head = [prefix[i * n:(i + 1) * n] for i in range(n - 1)]
         out.extend((MatrixFq(field, head + [x]), d) for x, d in zip(last_rows, dets) if d)
     return out
