@@ -43,6 +43,7 @@ from .gauss_sums import (
     gl_gauss_bruteforce,
     gl_gauss_closed,
     gl_order,
+    oracle_report,
     sl_gauss_bruteforce,
     sl_gauss_closed,
     sl_order,

@@ -2,7 +2,9 @@
 
 Brute-force sums walk all q^(n*n) candidate matrices (or all (q-1)^(n-1)
 Kloosterman tuples); the budget caps how many candidates a single call may
-visit.  The GAUSS_SUMS_BUDGET environment variable overrides the default.
+visit.  It is read from the GAUSS_SUMS_BUDGET environment variable at every
+check, in library calls as in the CLI, and defaults to DEFAULT_BUDGET; no
+call takes a budget of its own.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ class EnumerationBudgetError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the budget."""
 
 
-def resolve_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
+def resolve_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw:
         try:
@@ -29,8 +29,8 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-def check_budget(candidates: int, budget: int | None, what: str) -> None:
-    limit = resolve_budget(budget)
+def check_budget(candidates: int, what: str) -> None:
+    limit = resolve_budget()
     if candidates > limit:
         raise EnumerationBudgetError(
             f"{what} needs {candidates} candidates, over the budget of {limit}"

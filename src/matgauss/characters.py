@@ -8,11 +8,12 @@ Each character value is a single power of zeta_m; characters therefore expose
 ``exponent(x)`` alongside the ring-valued evaluation, and whole sums are
 tallied as counts of powers and reduced to canonical form once at the end.
 
-The closed forms' sums index F_q^* by discrete log: x = g^s, with one
-per-field table of tr(g^k), so chi_j(x) * lam_a(x) is zeta_m to the power
-p*j*s + (q-1)*tr(g^(alpha+s)) for a = g^alpha, found without any field
-operation.  The CRT split of Z/m into Z/(q-1) x Z/p makes the Kloosterman
-recursion a cyclic convolution of length m (see ``_kloosterman_levels``).
+The closed forms' sums index F_q^* by discrete log: x = g^s, read through
+the field's antilog and trace tables, so chi_j(x) * lam_a(x) is zeta_m to
+the power p*j*s + (q-1)*tr(g^(alpha+s)) for a = g^alpha, one ``_tally``
+with no field operation.  The CRT split of Z/m into Z/(q-1) x Z/p makes the
+Kloosterman recursion a cyclic convolution of length m (see
+``_kloosterman_levels``).
 Jacobi sums J(chi, chi^k) read log(1 - g^s) off the Zech table the same way
 and live in Z[zeta_(q-1)]; ``twisted_gauss_power`` builds G(chi)^n from them
 with one reduction in each ring (``classical_gauss_sum`` and ``**`` remain
@@ -107,20 +108,24 @@ def _trace_table(field: Field, c: int) -> list[int] | tuple[int, ...]:
     return linear_table(p, [field.trace_enc(field.mul_enc(c, p**i)) for i in range(field.e)])
 
 
-@lru_cache(maxsize=64)
-def _log_traces(field: Field) -> tuple[int, ...]:
-    """tr(g^k) for k in [0, q-1), g the field's generator."""
-    return tuple(map(field._trace.__getitem__, field._exp[: field.q - 1]))
-
-
-def _twisted_traces(table: MultGroupTable, lam: AdditiveCharacter) -> tuple[int, ...]:
-    """tr(a * g^s) for s in [0, q-1), lam = lam_a: for a = g^alpha, entry
-    alpha + s of the trace table, so no field operation runs."""
+def _twisted_traces(table: MultGroupTable, lam: AdditiveCharacter) -> list[int] | tuple[int, ...]:
+    """tr(a * g^s) for s in [0, q-1), lam = lam_a: for a = g^alpha, the
+    trace of antilog entry alpha + s (the antilog table is stored twice over,
+    so the slice never wraps), and no field operation runs."""
+    field = table.field
     if lam.is_trivial:
-        return (0,) * (table.field.q - 1)
-    alpha = table.dlog[lam.a.enc]
-    traces = _log_traces(table.field)
-    return traces[alpha:] + traces[:alpha]
+        return (0,) * (field.q - 1)
+    alpha, trace = table.dlog[lam.a.enc], field._trace
+    return [trace[x] for x in field._exp[alpha : alpha + field.q - 1]]
+
+
+def _tally(values, step: int, weight: int, size: int, start: int = 0) -> list[int]:
+    """Power counts of the terms x = g^s, s = start, start + 1, ..., each
+    adding one count at (step*s + weight*v) mod size, v its entry of values."""
+    counts = [0] * size
+    for s, v in enumerate(values, start):
+        counts[(step * s + weight * v) % size] += 1
+    return counts
 
 
 def _log_tally(table: MultGroupTable, lam: AdditiveCharacter, j: int) -> list[int]:
@@ -128,14 +133,8 @@ def _log_tally(table: MultGroupTable, lam: AdditiveCharacter, j: int) -> list[in
 
     x = g^s contributes zeta_m^(p*j*s + (q-1)*tr(a*g^s)).
     """
-    field = table.field
-    q1 = field.q - 1
-    m = field.p * q1
-    step = field.p * j
-    counts = [0] * m
-    for s, t in enumerate(_twisted_traces(table, lam)):
-        counts[(step * s + q1 * t) % m] += 1
-    return counts
+    p, q1 = table.field.p, table.field.q - 1
+    return _tally(_twisted_traces(table, lam), p * j, q1, p * q1)
 
 
 def classical_gauss_sum(chi: MultiplicativeCharacter, lam: AdditiveCharacter) -> CyclotomicInteger:
@@ -154,13 +153,8 @@ def _jacobi_tally(field: Field, j: int, k: int) -> list[int]:
     1 - x = 1 + g^(s + log(-1)), so log(1 - x) is a Zech entry and the term
     is zeta_(q-1)^(j*s + j*k*log(1 - x)), found without any field operation.
     """
-    q1 = field.q - 1
-    h = field._log_neg_one
-    jk = j * k
-    counts = [0] * q1
-    for s, t in enumerate(field._zech[h + 1 : h + q1], 1):
-        counts[(j * s + jk * t) % q1] += 1
-    return counts
+    h, q1 = field._log_neg_one, field.q - 1
+    return _tally(field._zech[h + 1 : h + q1], j, j * k, q1, start=1)
 
 
 def twisted_gauss_power(chi: MultiplicativeCharacter, lam: AdditiveCharacter, n: int,
@@ -211,10 +205,9 @@ def twisted_gauss_power(chi: MultiplicativeCharacter, lam: AdditiveCharacter, n:
     c = [scale] if c is None else [scale * v for v in sub.from_power_counts(c).coeffs]
     jn = j * n % q1
     if jn:
-        # x = g^s adds zeta_(q-1)^u * zeta_p^t, u = jn*s, counted at p*u + t
-        tally = [0] * (p * q1)
-        for s, t in enumerate(_twisted_traces(chi.table, lam)):
-            tally[p * (jn * s % q1) + t] += 1
+        # x = g^s adds zeta_(q-1)^u * zeta_p^t, u = jn*s, counted at
+        # p*(u mod (q-1)) + t = (p*jn*s + t) mod p(q-1), since t < p
+        tally = _tally(_twisted_traces(chi.table, lam), p * jn, 1, p * q1)
         if q1 % 2 == 0:  # zeta_(q-1)^(q1/2) = -1
             half = p * q1 // 2
             tally = list(map(operator.sub, tally[:half], tally[half:]))
@@ -283,13 +276,11 @@ def kloosterman(lam: AdditiveCharacter, n: int, y: FieldElement) -> CyclotomicIn
     return ring.from_power_counts(counts)
 
 
-def kloosterman_bruteforce(
-    lam: AdditiveCharacter, n: int, y: FieldElement, budget: int | None = None
-) -> CyclotomicInteger:
+def kloosterman_bruteforce(lam: AdditiveCharacter, n: int, y: FieldElement) -> CyclotomicInteger:
     """Oracle for the DP: enumerate all (q-1)^(n-1) tuples directly."""
     field = _kloosterman_field(lam, n, y)
     q = field.q
-    check_budget((q - 1) ** (n - 1), budget, "hyper-Kloosterman enumeration")
+    check_budget((q - 1) ** (n - 1), "hyper-Kloosterman enumeration")
     ring = value_ring(field)
     m = ring.m
     # the additive exponents come from lam itself, not the DP's trace table
@@ -313,4 +304,3 @@ def kloosterman_bruteforce(
 
 def clear_character_caches() -> None:
     _kloosterman_levels.cache_clear()
-    _log_traces.cache_clear()

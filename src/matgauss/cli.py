@@ -3,8 +3,9 @@
 Subcommands: eval-gl, eval-sl, count-trace, verify, bench.  All structured
 output is JSON with sorted keys (bench emits CSV); fixing the seed fixes the
 output byte for byte.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  The GAUSS_SUMS_BUDGET environment variable caps how many
-candidate matrices any brute-force check may enumerate.
+2 usage error.  GAUSS_SUMS_BUDGET, the package's one enumeration budget,
+caps every brute-force check: over it, eval-gl, eval-sl and count-trace
+report the oracle as skipped, and verify and bench fail with a usage error.
 """
 
 from __future__ import annotations
@@ -25,15 +26,11 @@ from .characters import (
 )
 from .finite_field import build_mult_table, make_field
 from .gauss_sums import (
-    CASE_SL_DEFICIENT,
-    CASE_SL_FULL_RANK,
-    CHECK_ORACLE,
-    SumReport,
     count_trace_bruteforce,
     count_trace_closed,
-    gl_case_label,
     gl_gauss_bruteforce,
     gl_gauss_closed,
+    oracle_report,
     sl_gauss_bruteforce,
     sl_gauss_closed,
     verify_grid,
@@ -131,31 +128,13 @@ def _cmd_eval(args, group: str) -> int:
     value_ring(fld)  # a ring beyond MAX_ORDER fails here, before the dlog table
     U = _parse_matrix(args.matrix, fld, args.n)
     lam = AdditiveCharacter(fld.element(args.lambda_twist))
-    u = U.rank()
-    note = ""
-    oracle = None
-    if group == "GL":
-        chi = MultiplicativeCharacter(build_mult_table(fld), args.chi_index)
-        closed = gl_gauss_closed(U, chi, lam)
-        case = gl_case_label(u, args.n, chi)
-        chi_index = chi.index
-        run_oracle = lambda: gl_gauss_bruteforce(U, chi, lam)
-    else:
-        closed = sl_gauss_closed(U, lam)
-        case = CASE_SL_FULL_RANK if u == args.n else CASE_SL_DEFICIENT
-        chi_index = None
-        run_oracle = lambda: sl_gauss_bruteforce(U, lam)
-    if args.check:
-        try:
-            oracle = run_oracle()
-        except EnumerationBudgetError as err:
-            note = f"oracle skipped: {err}"
-    report = SumReport(
-        check=CHECK_ORACLE, case_label=case, u=u, n=args.n,
-        p=fld.p, e=fld.e, q=fld.q, chi_index=chi_index,
-        lambda_twist=args.lambda_twist, matrix=U.rows,
-        closed_form=closed, oracle=oracle, note=note,
-    )
+    chi = MultiplicativeCharacter(build_mult_table(fld), args.chi_index) if group == "GL" else None
+    try:
+        report = oracle_report(U, chi, lam, check=args.check)
+    except EnumerationBudgetError as err:
+        # refused before the walk and the closed form, so nothing runs twice
+        report = oracle_report(U, chi, lam, check=False)
+        report.note = f"oracle skipped: {err}"
     doc = {"command": f"eval-{group.lower()}", **report.to_json_dict()}
     _emit_json(doc, args.output)
     return 1 if report.verified is False else 0

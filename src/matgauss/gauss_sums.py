@@ -14,9 +14,9 @@ where G is the classical Gauss sum and K_n the hyper-Kloosterman sum.  The
 GL full-rank value comes from ``characters.twisted_gauss_power``, which
 factors G^n through Jacobi sums; n - 1 ring products of G, the route the
 tests check it by, would cost a reduction in Z[zeta_m] each.  Each
-closed form is paired with a literal sum over the enumerated group, and
-``verify_grid`` runs both plus the scaling-invariance and GL/SL ratio
-identities over a whole parameter grid.
+closed form is paired with a literal sum over the enumerated group;
+``oracle_report`` runs both for one matrix, and ``verify_grid`` runs it plus
+the scaling-invariance and GL/SL ratio identities over a whole parameter grid.
 """
 
 from __future__ import annotations
@@ -222,20 +222,19 @@ def _character_sum(blocks, U: MatrixFq, chi: MultiplicativeCharacter | None,
 
 
 def gl_gauss_bruteforce(U: MatrixFq, chi: MultiplicativeCharacter,
-                        lam: AdditiveCharacter, budget: int | None = None) -> CyclotomicInteger:
+                        lam: AdditiveCharacter) -> CyclotomicInteger:
     """Literal sum over all of GL_n; the oracle for gl_gauss_closed.
 
     Unlike the closed form, this accepts a trivial lambda (it is just a sum).
     """
     f = _require_shared_field(U, lam, chi)
-    return _character_sum(gl_blocks(f, U.n, budget), U, chi, lam)
+    return _character_sum(gl_blocks(f, U.n), U, chi, lam)
 
 
-def sl_gauss_bruteforce(U: MatrixFq, lam: AdditiveCharacter,
-                        budget: int | None = None) -> CyclotomicInteger:
+def sl_gauss_bruteforce(U: MatrixFq, lam: AdditiveCharacter) -> CyclotomicInteger:
     """Literal sum over all of SL_n; the oracle for sl_gauss_closed."""
     f = _require_shared_field(U, lam, None)
-    return _character_sum(gl_blocks(f, U.n, budget), U, None, lam)
+    return _character_sum(gl_blocks(f, U.n), U, None, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +268,7 @@ def count_trace_closed(field: Field, n: int, beta: FieldElement) -> int:
     return count
 
 
-def count_trace_bruteforce(field: Field, n: int, beta: FieldElement,
-                           budget: int | None = None) -> int:
+def count_trace_bruteforce(field: Field, n: int, beta: FieldElement) -> int:
     """Direct count over the GL_n enumeration; the oracle for the formulas."""
     if beta.field != field:
         raise ValueError("trace value from a different field")
@@ -279,11 +277,29 @@ def count_trace_bruteforce(field: Field, n: int, beta: FieldElement,
     q = field.q
     width = q ** (n - 1)
     return sum(width - dets[field.sub_enc(beta.enc, tr)::q].count(0)
-               for _prefix, tr, dets in gl_blocks(field, n, budget))
+               for _prefix, tr, dets in gl_blocks(field, n))
 
 
 # ---------------------------------------------------------------------------
 # Grid verification.
+
+
+def oracle_report(U: MatrixFq, chi: MultiplicativeCharacter | None,
+                  lam: AdditiveCharacter, check: bool = True) -> SumReport:
+    """The closed form of the GL sum at U (the SL sum when chi is None), and
+    when ``check`` is set the oracle beside it.  The oracle runs first, so a
+    check over the enumeration budget raises before any closed-form work."""
+    u = U.rank()
+    if chi is None:
+        case = CASE_SL_FULL_RANK if u == U.n else CASE_SL_DEFICIENT
+        oracle = sl_gauss_bruteforce(U, lam) if check else None
+        closed = sl_gauss_closed(U, lam)
+    else:
+        case = gl_case_label(u, U.n, chi)
+        oracle = gl_gauss_bruteforce(U, chi, lam) if check else None
+        closed = gl_gauss_closed(U, chi, lam)
+    return SumReport(check=CHECK_ORACLE, case_label=case, closed_form=closed,
+                     oracle=oracle, **_report_stub(U, chi, lam, u))
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -308,7 +324,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def verify_grid(max_n: int, field_sizes, *, samples: int = 5, seed: int = 0,
-                lambda_twist: int = 1, budget: int | None = None) -> list[SumReport]:
+                lambda_twist: int = 1) -> list[SumReport]:
     """Closed form vs oracle (GL and SL) across a grid, plus identities.
 
     For each field size q and dimension n <= max_n, every rank u gets the
@@ -334,20 +350,18 @@ def verify_grid(max_n: int, field_sizes, *, samples: int = 5, seed: int = 0,
         if q > 2:
             chis.append(MultiplicativeCharacter(table, 1))
         for n in range(1, max_n + 1):
-            check_budget(q ** (n * n), budget, f"verifying GL_{n}(F_{q})")
+            check_budget(q ** (n * n), f"verifying GL_{n}(F_{q})")
             rng = random.Random(f"{seed}:verify:{q}:{n}")
             for u in range(n + 1):
                 mats = [canonical_rank_matrix(fld, n, u)]
                 mats.extend(random_rank_matrix(fld, n, u, rng) for _ in range(samples))
                 for U in mats:
-                    for chi in chis:
-                        reports.append(_oracle_report(U, chi, lam, u, budget))
-                    reports.append(_sl_oracle_report(U, lam, u, budget))
+                    reports.extend(oracle_report(U, chi, lam) for chi in (*chis, None))
                     if u < n:
                         reports.append(_ratio_report(U, chis[0], lam, u))
             for chi in chis:
                 for _ in range(samples):
-                    reports.append(_invariance_report(fld, n, chi, lam, rng, budget))
+                    reports.append(_invariance_report(fld, n, chi, lam, rng))
     return reports
 
 
@@ -366,26 +380,6 @@ def _report_stub(U: MatrixFq, chi: MultiplicativeCharacter | None,
     }
 
 
-def _oracle_report(U, chi, lam, u, budget) -> SumReport:
-    return SumReport(
-        check=CHECK_ORACLE,
-        case_label=gl_case_label(u, U.n, chi),
-        closed_form=gl_gauss_closed(U, chi, lam),
-        oracle=gl_gauss_bruteforce(U, chi, lam, budget),
-        **_report_stub(U, chi, lam, u),
-    )
-
-
-def _sl_oracle_report(U, lam, u, budget) -> SumReport:
-    return SumReport(
-        check=CHECK_ORACLE,
-        case_label=CASE_SL_FULL_RANK if u == U.n else CASE_SL_DEFICIENT,
-        closed_form=sl_gauss_closed(U, lam),
-        oracle=sl_gauss_bruteforce(U, lam, budget),
-        **_report_stub(U, None, lam, u),
-    )
-
-
 def _ratio_report(U, trivial_chi, lam, u) -> SumReport:
     return SumReport(
         check=CHECK_RATIO,
@@ -397,13 +391,13 @@ def _ratio_report(U, trivial_chi, lam, u) -> SumReport:
     )
 
 
-def _invariance_report(fld, n, chi, lam, rng, budget) -> SumReport:
+def _invariance_report(fld, n, chi, lam, rng) -> SumReport:
     U = random_matrix(fld, n, rng)
     P = random_invertible(fld, n, rng)
     Q = random_invertible(fld, n, rng)
     u = U.rank()
-    direct = gl_gauss_bruteforce(U, chi, lam, budget)
-    moved = gl_gauss_bruteforce(P @ U @ Q, chi, lam, budget)
+    direct = gl_gauss_bruteforce(U, chi, lam)
+    moved = gl_gauss_bruteforce(P @ U @ Q, chi, lam)
     if not chi.is_trivial:
         det_pq = (P @ Q).det()
         moved = moved * value_ring(fld).root_power(chi.exponent(det_pq))

@@ -246,15 +246,15 @@ def _gl_blocks(field: Field, n: int) -> Iterator[tuple[tuple[int, ...], int, tup
         yield prefix, tr, tuple(dets)
 
 
-def gl_blocks(field: Field, n: int, budget: int | None = None):
+def gl_blocks(field: Field, n: int):
     """The blocks of ``_gl_blocks``, cached for groups under the cap.
 
-    The budget still counts all q^(n*n) candidates.  A cached group comes
-    back as a tuple, which callers must treat as read-only; a larger one is
-    walked afresh on every call.
+    The enumeration budget still counts all q^(n*n) candidates.  A cached
+    group comes back as a tuple, which callers must treat as read-only; a
+    larger one is walked afresh on every call.
     """
     q = field.q
-    check_budget(q ** (n * n), budget, f"enumerating GL_{n}(F_{q})")
+    check_budget(q ** (n * n), f"enumerating GL_{n}(F_{q})")
     key = (field, n)
     hit = _GL_CACHE.get(key)
     if hit is not None:
@@ -268,8 +268,7 @@ def gl_blocks(field: Field, n: int, budget: int | None = None):
     return walk
 
 
-def gl_members(field: Field, n: int,
-               budget: int | None = None) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def gl_members(field: Field, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Compact GL_n(F_q) stream: (flat entries, det encoding, trace encoding).
 
     Yields each invertible matrix exactly once, in lexicographic order of the
@@ -279,7 +278,7 @@ def gl_members(field: Field, n: int,
     for the benchmark's traced round (perfbench's ``matrix_fq.gl_members``
     span) until that span times ``gl_blocks`` instead.
     """
-    return _flatten(field, n, gl_blocks(field, n, budget))
+    return _flatten(field, n, gl_blocks(field, n))
 
 
 def _flatten(field: Field, n: int, blocks) -> Iterator[tuple[tuple[int, ...], int, int]]:

@@ -107,6 +107,42 @@ class TestEvalSl:
         assert doc["case_label"] == "sl-full-rank"
         assert doc["verified"] is True
 
+    def test_budget_skips_oracle_but_succeeds(self, capsys, monkeypatch):
+        monkeypatch.setenv("GAUSS_SUMS_BUDGET", "10")
+        code, doc, _ = run_json(
+            capsys, "eval-sl", "--p", "3", "--n", "2",
+            "--matrix", "[[1,0],[0,1]]", "--check",
+        )
+        assert code == 0
+        assert doc["oracle"] is None
+        assert doc["verified"] is None
+        assert doc["note"].startswith("oracle skipped: ")
+        assert doc["closed_form"]["coeffs"]
+
+
+def test_eval_check_matches_the_verify_report(capsys):
+    # eval-gl/eval-sl --check and verify both report through oracle_report, so
+    # on diag(I_u, 0) each closed-vs-oracle report of verify is one eval's output
+    code, grid, _ = run_json(
+        capsys, "verify", "--max-n", "2", "--fields", "4", "--lambda", "3", "--samples", "0",
+    )
+    assert code == 0
+    reports = [r for r in grid["reports"] if r["check"] == "closed-vs-oracle"]
+    assert {(r["chi_index"], r["u"], r["n"]) for r in reports} == {
+        (chi, u, n) for chi in (0, 1, None) for n in (1, 2) for u in range(n + 1)
+    }
+    for report in reports:
+        argv = ["--p", "2", "--e", "2", "--n", str(report["n"]), "--lambda", "3",
+                "--matrix", json.dumps(report["matrix"]), "--check"]
+        if report["chi_index"] is None:
+            argv = ["eval-sl", *argv]
+        else:
+            argv = ["eval-gl", *argv, "--chi", str(report["chi_index"])]
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert doc.pop("command") == argv[0]
+        assert doc == report
+
 
 class TestCountTrace:
     def test_all_betas(self, capsys):

@@ -319,15 +319,16 @@ class TestFactorPrimePower:
 
 
 class TestBudgets:
-    def test_oracles_respect_budget(self):
+    def test_oracles_respect_budget(self, monkeypatch):
+        monkeypatch.setenv("GAUSS_SUMS_BUDGET", "3")
         f, chi, lam = setup_field(2)
         u_mat = MatrixFq.identity(f, 2)
         with pytest.raises(EnumerationBudgetError):
-            gl_gauss_bruteforce(u_mat, chi, lam, budget=3)
+            gl_gauss_bruteforce(u_mat, chi, lam)
         with pytest.raises(EnumerationBudgetError):
-            sl_gauss_bruteforce(u_mat, lam, budget=3)
+            sl_gauss_bruteforce(u_mat, lam)
         with pytest.raises(EnumerationBudgetError):
-            count_trace_bruteforce(f, 2, f.zero(), budget=3)
+            count_trace_bruteforce(f, 2, f.zero())
 
 
 class TestVerifyGrid:
@@ -358,9 +359,10 @@ class TestVerifyGrid:
         with pytest.raises(ValueError):
             verify_grid(1, [3], lambda_twist=0)
 
-    def test_budget_propagates(self):
+    def test_budget_propagates(self, monkeypatch):
+        monkeypatch.setenv("GAUSS_SUMS_BUDGET", "1000")
         with pytest.raises(EnumerationBudgetError):
-            verify_grid(3, [5], samples=1, budget=1000)
+            verify_grid(3, [5], samples=1)
 
 
 def test_report_serialization_round_trip():

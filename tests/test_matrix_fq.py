@@ -222,11 +222,12 @@ class TestEnumeration:
         assert len(members) == order_gl(3, 2) // 2
         assert [x for x, d in walked_members(f, 2) if d == 1] == members
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         # the budget is checked when gl_blocks is called, before any block
+        monkeypatch.setenv("GAUSS_SUMS_BUDGET", "1000")
         f = make_field(5)
         with pytest.raises(EnumerationBudgetError):
-            gl_blocks(f, 3, budget=1000)
+            gl_blocks(f, 3)
 
     def test_env_var_budget(self, monkeypatch):
         monkeypatch.setenv("GAUSS_SUMS_BUDGET", "10")

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -73,3 +74,48 @@ def test_benchmark_attribute_reads_are_checked():
              if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in bound}
     assert {("matgauss", "make_field"), ("matgauss", "build_mult_table"),
             ("matgauss", "value_ring"), ("matgauss.cli", "main")} <= reads
+
+
+def _bound_callables(tree) -> dict:
+    """Names the script binds to a matgauss function or class, mapped to it."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "matgauss":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name, None)
+                if callable(obj):
+                    bound[alias.asname or alias.name] = obj
+    return bound
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "worker.py"])
+def test_benchmark_calls_bind_to_current_signatures(script):
+    # a parameter the benchmark passes and the package has dropped fails every
+    # benchmark run while every other test here still passes; so each call to
+    # a matgauss name must bind to its callee's signature as it is now
+    tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+    modules = _module_bindings(tree)
+    names = _bound_callables(tree)
+    checked, unbound = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            fn = names.get(func.id)
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in modules):
+            fn = getattr(importlib.import_module(modules[func.value.id]), func.attr, None)
+        else:
+            continue
+        if (fn is None or any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords)):
+            continue
+        try:
+            inspect.signature(fn).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as err:
+            unbound.append(f"line {node.lineno}: {ast.unparse(func)}: {err}")
+        checked += 1
+    assert checked
+    assert unbound == []
