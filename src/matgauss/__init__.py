@@ -14,6 +14,7 @@ from .budget import (
 from .characters import (
     AdditiveCharacter,
     MultiplicativeCharacter,
+    build_mult_table,
     classical_gauss_sum,
     clear_character_caches,
     kloosterman,
@@ -30,8 +31,6 @@ from .finite_field import (
     DEFAULT_MAX_Q,
     Field,
     FieldElement,
-    MultGroupTable,
-    build_mult_table,
     is_prime,
     make_field,
 )

@@ -8,9 +8,13 @@ Each character value is a single power of zeta_m; characters therefore expose
 ``exponent(x)`` alongside the ring-valued evaluation, and whole sums are
 tallied as counts of powers and reduced to canonical form once at the end.
 
+Both characters are keyed on the field, and constructing one is the one place
+a field is admitted (``_Character``): every sum needs a character, so no sum
+starts on a field whose ring is past the cyclotomic bound.
+
 The closed forms' sums index F_q^* by discrete log: x = g^s, read through
-the field's antilog and trace tables, so chi_j(x) * lam_a(x) is zeta_m to
-the power p*j*s + (q-1)*tr(g^(alpha+s)) for a = g^alpha, one ``_tally``
+the field's log, antilog and trace tables, so chi_j(x) * lam_a(x) is zeta_m
+to the power p*j*s + (q-1)*tr(g^(alpha+s)) for a = g^alpha, one ``_tally``
 with no field operation.  The CRT split of Z/m into Z/(q-1) x Z/p makes the
 Kloosterman recursion a cyclic convolution of length m (see
 ``_kloosterman_levels``).
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .budget import check_budget
-from .cyclotomic import CyclotomicInteger, CyclotomicRing, _mul_low, get_ring
-from .finite_field import Field, FieldElement, MultGroupTable, build_mult_table, linear_table
+from .cyclotomic import CyclotomicInteger, CyclotomicRing, _mul_low, check_order, get_ring
+from .finite_field import Field, FieldElement, linear_table
 
 
 def value_ring(field: Field) -> CyclotomicRing:
@@ -37,8 +41,31 @@ def value_ring(field: Field) -> CyclotomicRing:
     return get_ring(field.p * (field.q - 1))
 
 
+class _Character:
+    """What both characters share.  Constructing one is the one place a field
+    is admitted: a value ring past the order bound is refused, and nothing,
+    neither ring nor field table, is built."""
+
+    def __post_init__(self):
+        check_order(self.field.p * (self.field.q - 1))
+
+    def __call__(self, x: FieldElement) -> CyclotomicInteger:
+        if x.field != self.field:
+            raise ValueError("argument from a different field")
+        return value_ring(self.field).root_power(self.exponent(x))
+
+
+def build_mult_table(field: Field) -> Field:
+    """Admit the field, build its log tables and return it.  Nothing in the
+    package calls it: it stays only for the benchmark's set-up, which times
+    the table build here, until that set-up takes the field itself."""
+    MultiplicativeCharacter(field, 0)
+    field._log  # built on first read
+    return field
+
+
 @dataclass(frozen=True)
-class AdditiveCharacter:
+class AdditiveCharacter(_Character):
     """x -> zeta_p^(tr(a*x)); nontrivial exactly when the twist a is nonzero."""
 
     a: FieldElement
@@ -57,27 +84,19 @@ class AdditiveCharacter:
         t = f.trace_enc(f.mul_enc(self.a.enc, x.enc))
         return t * (f.q - 1)
 
-    def __call__(self, x: FieldElement) -> CyclotomicInteger:
-        if x.field != self.field:
-            raise ValueError("argument from a different field")
-        return value_ring(self.field).root_power(self.exponent(x))
-
 
 @dataclass(frozen=True)
-class MultiplicativeCharacter:
+class MultiplicativeCharacter(_Character):
     """x -> zeta_(q-1)^(index * dlog(x)) on F_q^*; index 0 is the trivial one."""
 
-    table: MultGroupTable
+    field: Field
     index: int
 
     def __post_init__(self):
-        q = self.table.field.q
+        super().__post_init__()
+        q = self.field.q
         if not 0 <= self.index < max(q - 1, 1):
             raise ValueError(f"character index {self.index} out of range [0, {q - 1})")
-
-    @property
-    def field(self) -> Field:
-        return self.table.field
 
     @property
     def is_trivial(self) -> bool:
@@ -85,18 +104,13 @@ class MultiplicativeCharacter:
 
     def conjugate(self) -> "MultiplicativeCharacter":
         q = self.field.q
-        return MultiplicativeCharacter(self.table, (q - 1 - self.index) % (q - 1))
+        return MultiplicativeCharacter(self.field, (q - 1 - self.index) % (q - 1))
 
     def exponent(self, x: FieldElement) -> int:
         if x.enc == 0:
             raise ZeroDivisionError("multiplicative character is undefined at zero")
         f = self.field
-        return f.p * (self.index * self.table.dlog[x.enc] % (f.q - 1))
-
-    def __call__(self, x: FieldElement) -> CyclotomicInteger:
-        if x.field != self.field:
-            raise ValueError("argument from a different field")
-        return value_ring(self.field).root_power(self.exponent(x))
+        return f.p * (self.index * f._log[x.enc] % (f.q - 1))
 
 
 def _trace_table(field: Field, c: int) -> list[int] | tuple[int, ...]:
@@ -108,14 +122,14 @@ def _trace_table(field: Field, c: int) -> list[int] | tuple[int, ...]:
     return linear_table(p, [field.trace_enc(field.mul_enc(c, p**i)) for i in range(field.e)])
 
 
-def _twisted_traces(table: MultGroupTable, lam: AdditiveCharacter) -> list[int] | tuple[int, ...]:
+def _twisted_traces(lam: AdditiveCharacter) -> list[int] | tuple[int, ...]:
     """tr(a * g^s) for s in [0, q-1), lam = lam_a: for a = g^alpha, the
     trace of antilog entry alpha + s (the antilog table is stored twice over,
     so the slice never wraps), and no field operation runs."""
-    field = table.field
+    field = lam.field
     if lam.is_trivial:
         return (0,) * (field.q - 1)
-    alpha, trace = table.dlog[lam.a.enc], field._trace
+    alpha, trace = field._log[lam.a.enc], field._trace
     return [trace[x] for x in field._exp[alpha : alpha + field.q - 1]]
 
 
@@ -128,13 +142,13 @@ def _tally(values, step: int, weight: int, size: int, start: int = 0) -> list[in
     return counts
 
 
-def _log_tally(table: MultGroupTable, lam: AdditiveCharacter, j: int) -> list[int]:
+def _log_tally(lam: AdditiveCharacter, j: int) -> list[int]:
     """Power counts of sum over nonzero x of chi_j(x) * lam(x), indexed by dlog.
 
     x = g^s contributes zeta_m^(p*j*s + (q-1)*tr(a*g^s)).
     """
-    p, q1 = table.field.p, table.field.q - 1
-    return _tally(_twisted_traces(table, lam), p * j, q1, p * q1)
+    p, q1 = lam.field.p, lam.field.q - 1
+    return _tally(_twisted_traces(lam), p * j, q1, p * q1)
 
 
 def classical_gauss_sum(chi: MultiplicativeCharacter, lam: AdditiveCharacter) -> CyclotomicInteger:
@@ -143,7 +157,7 @@ def classical_gauss_sum(chi: MultiplicativeCharacter, lam: AdditiveCharacter) ->
     if field != lam.field:
         raise ValueError("characters live on different fields")
     ring = value_ring(field)
-    return ring.from_power_counts(_log_tally(chi.table, lam, chi.index))
+    return ring.from_power_counts(_log_tally(lam, chi.index))
 
 
 def _jacobi_tally(field: Field, j: int, k: int) -> list[int]:
@@ -207,7 +221,7 @@ def twisted_gauss_power(chi: MultiplicativeCharacter, lam: AdditiveCharacter, n:
     if jn:
         # x = g^s adds zeta_(q-1)^u * zeta_p^t, u = jn*s, counted at
         # p*(u mod (q-1)) + t = (p*jn*s + t) mod p(q-1), since t < p
-        tally = _tally(_twisted_traces(chi.table, lam), p * jn, 1, p * q1)
+        tally = _tally(_twisted_traces(lam), p * jn, 1, p * q1)
         if q1 % 2 == 0:  # zeta_(q-1)^(q1/2) = -1
             half = p * q1 // 2
             tally = list(map(operator.sub, tally[:half], tally[half:]))
@@ -221,7 +235,7 @@ def twisted_gauss_power(chi: MultiplicativeCharacter, lam: AdditiveCharacter, n:
         packed[width * t : width * t + len(b)] = b
     packed = _mul_low(c, packed, len(packed))
     # p*i + (q-1)*t are distinct for t < p, since gcd(p, q-1) = 1
-    shift = p * (-j * chi.table.dlog[y.enc] % q1)
+    shift = p * (-j * field._log[y.enc] % q1)
     counts = [0] * (shift + q1 * (len(blocks) - 1) + p * width)
     for t in range(len(blocks)):
         start = shift + q1 * t
@@ -242,7 +256,7 @@ def _kloosterman_levels(lam: AdditiveCharacter, n: int) -> tuple[int, ...]:
     fold.  K_n(lam, y) is the slice s = dlog(y).
     """
     if n == 1:
-        return tuple(_log_tally(build_mult_table(lam.field), lam, 1))
+        return tuple(_log_tally(lam, 1))
     first = _kloosterman_levels(lam, 1)
     m = len(first)
     prod = _mul_low(_kloosterman_levels(lam, n - 1), first, 2 * m - 1)
@@ -268,7 +282,7 @@ def kloosterman(lam: AdditiveCharacter, n: int, y: FieldElement) -> CyclotomicIn
     field = _kloosterman_field(lam, n, y)
     ring = value_ring(field)
     q1 = field.q - 1
-    base = field.p * build_mult_table(field).dlog[y.enc]
+    base = field.p * field._log[y.enc]
     level = _kloosterman_levels(lam, n)
     # the count at p*dlog(y) + (q-1)*t is the coefficient of zeta_p^t
     counts = [0] * ((field.p - 1) * q1 + 1)
@@ -285,10 +299,7 @@ def kloosterman_bruteforce(lam: AdditiveCharacter, n: int, y: FieldElement) -> C
     m = ring.m
     # the additive exponents come from lam itself, not the DP's trace table
     exps = [0] + [lam.exponent(FieldElement(field, x)) % m for x in range(1, q)]
-    dlog = build_mult_table(field).dlog
-    antilog = [0] * (q - 1)
-    for x in range(1, q):
-        antilog[dlog[x]] = x
+    dlog, antilog = field._log, field._exp
     target = dlog[y.enc]
     counts = [0] * m
     for tup in itertools.product(range(1, q), repeat=n - 1):

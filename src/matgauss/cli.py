@@ -22,9 +22,8 @@ from .characters import (
     clear_character_caches,
     kloosterman,
     kloosterman_bruteforce,
-    value_ring,
 )
-from .finite_field import build_mult_table, make_field
+from .finite_field import make_field
 from .gauss_sums import (
     count_trace_bruteforce,
     count_trace_closed,
@@ -125,10 +124,9 @@ def _parse_matrix(text: str, field, n: int) -> MatrixFq:
 
 def _cmd_eval(args, group: str) -> int:
     fld = make_field(args.p, args.e)
-    value_ring(fld)  # a ring beyond MAX_ORDER fails here, before the dlog table
-    U = _parse_matrix(args.matrix, fld, args.n)
     lam = AdditiveCharacter(fld.element(args.lambda_twist))
-    chi = MultiplicativeCharacter(build_mult_table(fld), args.chi_index) if group == "GL" else None
+    U = _parse_matrix(args.matrix, fld, args.n)
+    chi = MultiplicativeCharacter(fld, args.chi_index) if group == "GL" else None
     try:
         report = oracle_report(U, chi, lam, check=args.check)
     except EnumerationBudgetError as err:
@@ -213,7 +211,7 @@ def _cmd_bench(args) -> int:
     fld = make_field(args.p, args.e)
     n = args.n
     lam = AdditiveCharacter(fld.element(1))
-    chi = MultiplicativeCharacter(build_mult_table(fld), 1 if fld.q > 2 else 0)
+    chi = MultiplicativeCharacter(fld, 1 if fld.q > 2 else 0)
     U = MatrixFq.identity(fld, n)
     one = fld.one()
     ops = [

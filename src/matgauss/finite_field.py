@@ -9,19 +9,20 @@ always agree, and the multiplicative generator is the first element (again in
 encoding order) of full order, which makes character indexing reproducible.
 
 Arithmetic reads log, antilog and Zech tables, one path for every p and e
-(see ``Field``).  They are built by walking x -> g * x through a table of
-that F_p-linear map, so the polynomial helpers serve only the modulus and
-generator searches and the map's e columns.  The trace, also F_p-linear, is
-a table of q entries built from its values on the digits.
+(see ``Field``); the characters read the same log table as their discrete
+log, and decide themselves which fields their values can live on.  The
+tables are built by walking x -> g * x through a table of that F_p-linear
+map, so the polynomial helpers serve only the modulus and generator searches
+and the map's e columns.  The trace, also F_p-linear, is a table of q
+entries built from its values on the digits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .cyclotomic import check_order, distinct_prime_factors
+from .cyclotomic import distinct_prime_factors
 
 DEFAULT_MAX_Q = 2**20
 
@@ -164,7 +165,7 @@ class Field:
     arithmetic.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_hash", "_log_neg_one", "_mult_table",
+    __slots__ = ("p", "e", "q", "modulus", "_hash", "_log_neg_one",
                  "_trace", "_exp", "_log", "_zech")
 
     def __new__(cls, p: int, e: int, modulus: tuple[int, ...]):
@@ -178,7 +179,6 @@ class Field:
         self._hash = hash((p, self.modulus))
         # -1 = g^((q-1)/2) for odd p; -1 = 1 in characteristic 2
         self._log_neg_one = 0 if p == 2 else (self.q - 1) // 2
-        self._mult_table = None
 
     def __eq__(self, other):
         if self is other:
@@ -423,33 +423,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"F{self.field.q}({self.enc})"
-
-
-@dataclass(frozen=True, eq=False)
-class MultGroupTable:
-    """A generator of F_q^* together with the full discrete-log table.
-
-    ``dlog`` is the field's own log table, indexed by canonical encoding; the
-    entry for zero is -1.
-    generator ** dlog[x] == x for every nonzero x.
-    """
-
-    field: Field
-    generator: FieldElement
-    dlog: tuple[int, ...]
-
-
-def build_mult_table(field: Field) -> MultGroupTable:
-    """The canonical generator of F_q^* and the discrete-log table.
-
-    A field whose character values would need a ring Z[zeta_m],
-    m = p*(q-1), past the cyclotomic bound is rejected before any table
-    work; otherwise this wraps the field's own antilog and log tables.
-    """
-    if field._mult_table is None:
-        check_order(field.p * (field.q - 1))
-        field._mult_table = MultGroupTable(field, field.element(field._exp[1]), field._log)
-    return field._mult_table
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from matgauss import finite_field
 from matgauss.budget import EnumerationBudgetError
 from matgauss.characters import (
     AdditiveCharacter,
@@ -15,8 +16,10 @@ from matgauss.characters import (
     value_ring,
 )
 from matgauss.cyclotomic import get_ring
-from matgauss.finite_field import build_mult_table, make_field
+from matgauss.finite_field import make_field
 from matgauss.gauss_sums import factor_prime_power
+
+from test_finite_field import assert_no_tables
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -24,8 +27,33 @@ SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
 def field_and_chars(p, e, chi_index=1, twist=1):
     f = make_field(p, e)
     lam = AdditiveCharacter(f.element(twist))
-    chi = MultiplicativeCharacter(build_mult_table(f), chi_index if f.q > 2 else 0)
+    chi = MultiplicativeCharacter(f, chi_index if f.q > 2 else 0)
     return f, chi, lam
+
+
+def over_order_field(monkeypatch):
+    """F_(2^19), with every field table build made to fail: q = 2^19 is an
+    accepted field, but its value ring's order m = 2 * (q - 1) = 1048574 is not."""
+    def unreachable(field):
+        raise AssertionError("field tables built for a field that cannot be evaluated")
+
+    monkeypatch.setattr(finite_field, "_build_tables", unreachable)
+    return make_field(2, 19)
+
+
+class TestAdmission:
+    """Constructing a character is the one place a field is admitted
+    (``build_mult_table`` admits through it: tests/test_finite_field.py)."""
+
+    @pytest.mark.parametrize("admit", [
+        lambda f: AdditiveCharacter(f.element(1)),
+        lambda f: MultiplicativeCharacter(f, 1),
+    ], ids=["additive", "multiplicative"])
+    def test_over_order_field_is_refused_before_any_table(self, monkeypatch, admit):
+        f = over_order_field(monkeypatch)
+        with pytest.raises(ValueError, match="order 1048574 exceeds the supported bound"):
+            admit(f)
+        assert_no_tables(f)
 
 
 class TestAdditiveCharacter:
@@ -84,44 +112,42 @@ class TestMultiplicativeCharacter:
     def test_value_at_one_is_one(self):
         for p, e in SMALL_FIELDS:
             f = make_field(p, e)
-            table = build_mult_table(f)
             for j in range(f.q - 1):
-                chi = MultiplicativeCharacter(table, j)
+                chi = MultiplicativeCharacter(f, j)
                 assert chi(f.one()) == 1
 
     def test_trivial_character_is_constant(self):
         f = make_field(7)
-        chi = MultiplicativeCharacter(build_mult_table(f), 0)
+        chi = MultiplicativeCharacter(f, 0)
         for x in f.elements():
             if x.enc:
                 assert chi(x) == 1
 
     def test_quadratic_character_mod_five(self):
         f = make_field(5)
-        chi = MultiplicativeCharacter(build_mult_table(f), 2)
+        chi = MultiplicativeCharacter(f, 2)
         assert chi(f.element(4)) == 1  # 4 = 2^2 is a QR mod 5
         assert chi(f.element(2)) == -1
 
     def test_evaluation_at_zero_raises(self):
         f = make_field(5)
-        chi = MultiplicativeCharacter(build_mult_table(f), 1)
+        chi = MultiplicativeCharacter(f, 1)
         with pytest.raises(ZeroDivisionError):
             chi(f.zero())
 
     def test_index_out_of_range(self):
-        table = build_mult_table(make_field(5))
+        f = make_field(5)
         with pytest.raises(ValueError):
-            MultiplicativeCharacter(table, 4)
+            MultiplicativeCharacter(f, 4)
         with pytest.raises(ValueError):
-            MultiplicativeCharacter(table, -1)
+            MultiplicativeCharacter(f, -1)
 
     @pytest.mark.parametrize("p,e", SMALL_FIELDS)
     def test_fully_multiplicative(self, p, e):
         f = make_field(p, e)
-        table = build_mult_table(f)
         nonzero = [x for x in f.elements() if x.enc]
         for j in {0, 1, f.q - 2} if f.q > 2 else {0}:
-            chi = MultiplicativeCharacter(table, j)
+            chi = MultiplicativeCharacter(f, j)
             for x in nonzero:
                 for y in nonzero:
                     assert chi(x * y) == chi(x) * chi(y)
@@ -129,10 +155,9 @@ class TestMultiplicativeCharacter:
     @pytest.mark.parametrize("p,e", SMALL_FIELDS)
     def test_orthogonality(self, p, e):
         f = make_field(p, e)
-        table = build_mult_table(f)
         ring = value_ring(f)
         for j in range(f.q - 1):
-            chi = MultiplicativeCharacter(table, j)
+            chi = MultiplicativeCharacter(f, j)
             total = ring.zero()
             for x in f.elements():
                 if x.enc:
@@ -142,7 +167,7 @@ class TestMultiplicativeCharacter:
     @pytest.mark.parametrize("p,e", [(5, 2), (3, 3), (2, 5), (7, 2), (2, 6)])
     def test_multiplicative_exhaustively_up_to_q_64(self, p, e):
         f = make_field(p, e)
-        chi = MultiplicativeCharacter(build_mult_table(f), 1)
+        chi = MultiplicativeCharacter(f, 1)
         m = value_ring(f).m
         exps = [None] + [chi.exponent(f.element(x)) % m for x in range(1, f.q)]
         mul = f.mul_enc
@@ -152,9 +177,8 @@ class TestMultiplicativeCharacter:
 
     def test_conjugate_inverts_values(self):
         f = make_field(7)
-        table = build_mult_table(f)
         for j in range(6):
-            chi = MultiplicativeCharacter(table, j)
+            chi = MultiplicativeCharacter(f, j)
             bar = chi.conjugate()
             for x in f.elements():
                 if x.enc:
@@ -165,13 +189,13 @@ class TestClassicalGaussSum:
     def test_trivial_chi_nontrivial_lambda(self):
         for p, e in SMALL_FIELDS:
             f, _, lam = field_and_chars(p, e)
-            chi0 = MultiplicativeCharacter(build_mult_table(f), 0)
+            chi0 = MultiplicativeCharacter(f, 0)
             assert classical_gauss_sum(chi0, lam) == -1
 
     def test_both_trivial(self):
         for p, e in [(2, 1), (3, 1), (2, 2)]:
             f = make_field(p, e)
-            chi0 = MultiplicativeCharacter(build_mult_table(f), 0)
+            chi0 = MultiplicativeCharacter(f, 0)
             lam0 = AdditiveCharacter(f.zero())
             assert classical_gauss_sum(chi0, lam0) == f.q - 1
 
@@ -186,10 +210,9 @@ class TestClassicalGaussSum:
     @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4)])
     def test_magnitude_is_sqrt_q_for_nontrivial_pairs(self, p, e):
         f = make_field(p, e)
-        table = build_mult_table(f)
         root_q = math.sqrt(f.q)
         for j in range(1, f.q - 1):
-            chi = MultiplicativeCharacter(table, j)
+            chi = MultiplicativeCharacter(f, j)
             for twist in range(1, f.q):
                 lam = AdditiveCharacter(f.element(twist))
                 assert abs(classical_gauss_sum(chi, lam).abs_embed() - root_q) <= 1e-6 * root_q
@@ -198,13 +221,12 @@ class TestClassicalGaussSum:
     def test_equals_the_literal_sum_for_every_character(self, q):
         p, e = factor_prime_power(q)
         f = make_field(p, e)
-        table = build_mult_table(f)
         ring = value_ring(f)
         twist = random.Random(f"gauss:{q}").randrange(1, q)
         for a in {1, twist}:
             lam = AdditiveCharacter(f.element(a))
             for j in range(max(q - 1, 1)):
-                chi = MultiplicativeCharacter(table, j)
+                chi = MultiplicativeCharacter(f, j)
                 total = ring.zero()
                 for x in f.elements():
                     if x.enc:
@@ -217,9 +239,8 @@ class TestClassicalGaussSum:
         # closed form uses to apply conj(chi)(det U)
         p, e = factor_prime_power(q)
         f = make_field(p, e)
-        table = build_mult_table(f)
         for j in range(q - 1):
-            chi = MultiplicativeCharacter(table, j)
+            chi = MultiplicativeCharacter(f, j)
             for a in range(1, q):
                 g = classical_gauss_sum(chi, AdditiveCharacter(f.element(a)))
                 for b in f.elements():
@@ -240,13 +261,12 @@ class TestJacobiSums:
     def test_tally_equals_the_literal_sum(self, q):
         p, e = factor_prime_power(q)
         f = make_field(p, e)
-        table = build_mult_table(f)
         ring = value_ring(f)
         one = f.one().enc
         for j in range(1, q - 1):
-            chi = MultiplicativeCharacter(table, j)
+            chi = MultiplicativeCharacter(f, j)
             for k in {1, 2, q - 2}:
-                psi = MultiplicativeCharacter(table, j * k % (q - 1))
+                psi = MultiplicativeCharacter(f, j * k % (q - 1))
                 total = ring.zero()
                 for x in f.elements():
                     if x.enc not in (0, one):
@@ -272,9 +292,8 @@ class TestJacobiSums:
         # G(chi) G(chi^k) = J(chi, chi^k) G(chi^(k+1)) for chi^(k+1) nontrivial
         p, e = factor_prime_power(q)
         f = make_field(p, e)
-        table = build_mult_table(f)
         lam = AdditiveCharacter(f.element(random.Random(f"jacobi:{q}").randrange(1, q)))
-        gauss = [classical_gauss_sum(MultiplicativeCharacter(table, j), lam) for j in range(q - 1)]
+        gauss = [classical_gauss_sum(MultiplicativeCharacter(f, j), lam) for j in range(q - 1)]
         for j in range(1, q - 1):
             for k in range(1, q - 1):
                 if j * (k + 1) % (q - 1):
@@ -287,10 +306,9 @@ class TestTwistedGaussPower:
     def test_every_character_against_repeated_products(self, q):
         p, e = factor_prime_power(q)
         f = make_field(p, e)
-        table = build_mult_table(f)
         rng = random.Random(f"power:{q}")
         for j in range(max(q - 1, 1)):
-            chi = MultiplicativeCharacter(table, j)
+            chi = MultiplicativeCharacter(f, j)
             lam = AdditiveCharacter(f.element(rng.randrange(1, q)))
             g = classical_gauss_sum(chi, lam)
             power = g
@@ -365,15 +383,10 @@ class TestKloosterman:
                             a, n, y.enc)
 
     def test_oversized_value_ring_fails_before_the_dlog_table(self, monkeypatch):
-        # q = 2^19 is an accepted field, but m = 2 * (q - 1) = 1048574 is not
-        def unreachable(field):
-            raise AssertionError("dlog table built for a field that cannot be evaluated")
-
-        monkeypatch.setattr("matgauss.characters.build_mult_table", unreachable)
-        f = make_field(2, 19)
-        lam = AdditiveCharacter(f.element(1))
+        f = over_order_field(monkeypatch)
         with pytest.raises(ValueError, match="exceeds the supported bound"):
-            kloosterman(lam, 2, f.element(3))
+            kloosterman(AdditiveCharacter(f.element(1)), 2, f.element(3))
+        assert_no_tables(f)
 
     def test_enumeration_budget(self, monkeypatch):
         monkeypatch.setenv("GAUSS_SUMS_BUDGET", "10")

@@ -4,6 +4,9 @@ import pytest
 
 from matgauss.cli import main
 
+from test_characters import over_order_field
+from test_finite_field import assert_no_tables
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -74,20 +77,28 @@ class TestEvalGl:
         assert code == 2
 
     def test_oversized_value_ring_fails_before_the_dlog_table(self, capsys, monkeypatch):
-        # q = 2^19 is an accepted field, but m = 2 * (q - 1) = 1048574 is not
-        def unreachable(field):
-            raise AssertionError("dlog table built for a field that cannot be evaluated")
-
-        monkeypatch.setattr("matgauss.cli.build_mult_table", unreachable)
+        f = over_order_field(monkeypatch)
         code, _, err = run(
             capsys, "eval-gl", "--p", "2", "--e", "19", "--n", "2",
             "--matrix", "[[1,0],[0,1]]", "--chi", "1",
         )
         assert code == 2
         assert "exceeds the supported bound" in err
+        assert_no_tables(f)
 
 
 class TestEvalSl:
+    @pytest.mark.parametrize("matrix", ["[[1,0],[0,1]]", "[[1,0],[0"])
+    def test_oversized_value_ring_fails_before_the_dlog_table(self, capsys, monkeypatch, matrix):
+        # the order error comes before the matrix is read, so it wins over a malformed one
+        f = over_order_field(monkeypatch)
+        code, _, err = run(
+            capsys, "eval-sl", "--p", "2", "--e", "19", "--n", "2", "--matrix", matrix,
+        )
+        assert code == 2
+        assert err == "error: order 1048574 exceeds the supported bound 1000000\n"
+        assert_no_tables(f)
+
     def test_rank_one_value(self, capsys):
         code, doc, _ = run_json(
             capsys, "eval-sl", "--p", "3", "--n", "2",

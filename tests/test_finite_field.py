@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from matgauss import finite_field
+from matgauss import build_mult_table, finite_field
 from matgauss.finite_field import (
     Field,
     _poly_mulmod,
     _poly_powmod,
-    build_mult_table,
     is_prime,
     make_field,
 )
@@ -245,30 +244,34 @@ class TestTrace:
 
 
 class TestMultTable:
+    # the generator g is the antilog entry _exp[1], and _log is the dlog
     def test_f2_table(self):
-        t = build_mult_table(make_field(2))
-        assert t.generator.enc == 1
-        assert t.dlog[1] == 0
+        f = make_field(2)
+        assert build_mult_table(f) is f
+        assert f._exp[1] == 1
+        assert f._log[1] == 0
 
     def test_f5_generator_and_dlog(self):
-        t = build_mult_table(make_field(5))
-        assert t.generator.enc == 2  # smallest primitive root mod 5
-        assert t.dlog[4] == 2  # 2^2 = 4
+        f = make_field(5)
+        assert build_mult_table(f) is f
+        assert f._exp[1] == 2  # smallest primitive root mod 5
+        assert f._log[4] == 2  # 2^2 = 4
 
     def test_f7_skips_non_generator(self):
         # 2 has order 3 mod 7 (2, 4, 1); 3 has order 6
-        t = build_mult_table(make_field(7))
-        assert t.generator.enc == 3
+        f = make_field(7)
+        assert build_mult_table(f) is f
+        assert f._exp[1] == 3
 
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (7, 1), (2, 2), (2, 4), (3, 2), (13, 1)])
     def test_dlog_round_trip(self, p, e):
         f = make_field(p, e)
-        t = build_mult_table(f)
-        g = t.generator
+        assert build_mult_table(f) is f
+        g = f.element(f._exp[1])
         for x in f.elements():
             if x.enc:
-                assert g ** t.dlog[x.enc] == x
-        logs = [t.dlog[x] for x in range(1, f.q)]
+                assert g ** f._log[x.enc] == x
+        logs = [f._log[x] for x in range(1, f.q)]
         assert sorted(logs) == list(range(f.q - 1))
 
     def test_oversized_field_fails_before_the_dlog_table(self, monkeypatch):
@@ -283,7 +286,6 @@ class TestMultTable:
             monkeypatch.setattr(finite_field, name, unreachable)
         with pytest.raises(ValueError, match="order 1048574 exceeds the supported bound"):
             build_mult_table(f)
-        assert f._mult_table is None
         assert_no_tables(f)
 
     def test_largest_field_and_its_trace_count_build_no_table(self, monkeypatch):

@@ -13,7 +13,7 @@ from matgauss.characters import (
     classical_gauss_sum,
     value_ring,
 )
-from matgauss.finite_field import build_mult_table, make_field
+from matgauss.finite_field import make_field
 from matgauss.gauss_sums import (
     SumReport,
     count_trace_bruteforce,
@@ -22,6 +22,7 @@ from matgauss.gauss_sums import (
     gl_gauss_bruteforce,
     gl_gauss_closed,
     gl_order,
+    oracle_report,
     sl_gauss_bruteforce,
     sl_gauss_closed,
     sl_order,
@@ -36,13 +37,15 @@ from matgauss.matrix_fq import (
 )
 
 from literal_groups import literal_gl, literal_sl
+from test_characters import over_order_field
+from test_finite_field import assert_no_tables
 
 
 def setup_field(q, chi_index=0, twist=1):
     p, e = factor_prime_power(q)
     f = make_field(p, e)
     lam = AdditiveCharacter(f.element(twist))
-    chi = MultiplicativeCharacter(build_mult_table(f), chi_index)
+    chi = MultiplicativeCharacter(f, chi_index)
     return f, chi, lam
 
 
@@ -108,13 +111,12 @@ class TestGlClosedForm:
         # some k < n and at k = n.
         p, e = factor_prime_power(q)
         f = make_field(p, e)
-        table = build_mult_table(f)
         ring = value_ring(f)
         rng = random.Random(f"untwisted:{q}")
         full_order = [j for j in range(1, q - 1) if math.gcd(j, q - 1) == 1]
         low_order = [(q - 1) // r for r in (2, 3, 4) if (q - 1) % r == 0]
         for j in rng.sample(full_order, 3) + low_order + [0]:
-            chi = MultiplicativeCharacter(table, j)
+            chi = MultiplicativeCharacter(f, j)
             lam = AdditiveCharacter(f.element(rng.randrange(1, q)))
             g = classical_gauss_sum(chi, lam)
             power = g
@@ -171,7 +173,6 @@ class TestOracleSums:
         p, e = factor_prime_power(q)
         f = make_field(p, e)
         ring = value_ring(f)
-        table = build_mult_table(f)
         rng = random.Random(f"oracle-sums:{q}")
         twists = (0, 1, rng.randrange(2, q))
         for U in (random_rank_matrix(f, 2, 2, rng), random_rank_matrix(f, 2, 1, rng)):
@@ -186,7 +187,7 @@ class TestOracleSums:
                     expected = expected + count * lam(t)
                 assert sl_gauss_bruteforce(U, lam) == expected, (U, a)
                 for j in range(q - 1):
-                    chi = MultiplicativeCharacter(table, j)
+                    chi = MultiplicativeCharacter(f, j)
                     expected = ring.zero()
                     for (d, t), count in gl.items():
                         expected = expected + count * chi(d) * lam(t)
@@ -228,7 +229,6 @@ class TestBlockOracles:
             monkeypatch.setattr(matrix_fq, "_MEMBER_CACHE_MAX_INTS", 0)
         clear_member_cache()
         ring = value_ring(f)
-        table = build_mult_table(f)
         lam = AdditiveCharacter(f.element(twist))
         for U, gl_tally, sl_tally in zip(mats, gl, sl):
             assert sum(gl_tally.values()) == gl_order(f, n)
@@ -238,7 +238,7 @@ class TestBlockOracles:
                 expected = expected + count * lam(t)
             assert sl_gauss_bruteforce(U, lam) == expected, U
             for j in range(q - 1):
-                chi = MultiplicativeCharacter(table, j)
+                chi = MultiplicativeCharacter(f, j)
                 expected = ring.zero()
                 for (d, t), count in gl_tally.items():
                     expected = expected + count * chi(d) * lam(t)
@@ -387,3 +387,11 @@ def test_report_verified_is_none_without_oracle():
     )
     assert rep.verified is None
     assert rep.to_json_dict()["oracle"] is None
+
+
+def test_oracle_report_refuses_an_over_order_field_before_any_table(monkeypatch):
+    # the rank of U would build the field's tables; the character comes first
+    f = over_order_field(monkeypatch)
+    with pytest.raises(ValueError, match="order 1048574 exceeds the supported bound"):
+        oracle_report(MatrixFq.identity(f, 2), None, AdditiveCharacter(f.element(1)), check=False)
+    assert_no_tables(f)

@@ -222,18 +222,12 @@ class TestEnumeration:
         assert len(members) == order_gl(3, 2) // 2
         assert [x for x, d in walked_members(f, 2) if d == 1] == members
 
-    def test_budget_enforced(self, monkeypatch):
+    @pytest.mark.parametrize("p,n,budget", [(5, 3, "1000"), (7, 2, "10")])
+    def test_budget_enforced(self, monkeypatch, p, n, budget):
         # the budget is checked when gl_blocks is called, before any block
-        monkeypatch.setenv("GAUSS_SUMS_BUDGET", "1000")
-        f = make_field(5)
+        monkeypatch.setenv("GAUSS_SUMS_BUDGET", budget)
         with pytest.raises(EnumerationBudgetError):
-            gl_blocks(f, 3)
-
-    def test_env_var_budget(self, monkeypatch):
-        monkeypatch.setenv("GAUSS_SUMS_BUDGET", "10")
-        f = make_field(7)
-        with pytest.raises(EnumerationBudgetError):
-            gl_blocks(f, 2)
+            gl_blocks(make_field(p), n)
 
 
 @lru_cache(maxsize=None)

@@ -119,3 +119,20 @@ def test_benchmark_calls_bind_to_current_signatures(script):
         checked += 1
     assert checked
     assert unbound == []
+
+
+def test_benchmark_rounds_evaluate_and_pass_their_checks(monkeypatch):
+    # the signature checks above cannot see a set-up value the package now
+    # rejects (say, a mult table ``MultiplicativeCharacter`` refuses), which
+    # fails every benchmark run; so one smoke round of each workload runs here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    mix = importlib.import_module("mix")
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    for name in mix.WORKLOADS:
+        fields, tables, _rings, _empty, _timing = worker.setup(mix.fields(name, smoke=True))
+        reqs = workloads.Workload(name, 1, fields, tables, smoke=True).next_round()
+        checker = workloads.Checker()
+        assert reqs
+        assert [checker(req, workloads.evaluate(req)) for req in reqs] == [None] * len(reqs), name
+        workloads.reset_caches(fields.values())
