@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: eval-gl, eval-sl, count-trace, verify, bench.  All structured
-output is JSON with sorted keys (bench emits CSV); fixing the seed fixes the
-output byte for byte.  Exit codes: 0 success, 1 verification failure,
+Subcommands: eval-gl, eval-sl, count-trace, verify, bench; each parser sets
+the ``run`` function ``main`` calls.  All structured output is JSON with
+sorted keys (bench emits CSV); only verify samples, and fixing its --seed
+fixes the output byte for byte.  Exit codes: 0 success, 1 verification failure,
 2 usage error.  GAUSS_SUMS_BUDGET, the package's one enumeration budget,
 caps every brute-force check: over it, eval-gl, eval-sl and count-trace
 report the oracle as skipped, and verify and bench fail with a usage error.
@@ -45,15 +46,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def field_args(sp, with_n=True):
+    def field_args(sp):
         sp.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
         sp.add_argument("--e", type=int, default=1, help="extension degree (default 1)")
-        if with_n:
-            sp.add_argument("--n", type=int, required=True, help="matrix dimension")
-        sp.add_argument("--seed", type=int, default=0, help="seed for any sampling")
+        sp.add_argument("--n", type=int, required=True, help="matrix dimension")
         sp.add_argument("--output", default=None, help="output path (default: stdout)")
 
     sp = sub.add_parser("eval-gl", help="closed-form GL Gauss sum for one matrix")
+    sp.set_defaults(run=lambda args: _cmd_eval(args, "GL"))
     field_args(sp)
     sp.add_argument("--matrix", required=True, help="row-major JSON matrix of encodings")
     sp.add_argument("--chi", dest="chi_index", type=int, default=0,
@@ -63,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", action="store_true", help="also run the enumeration oracle")
 
     sp = sub.add_parser("eval-sl", help="closed-form SL Gauss sum for one matrix")
+    sp.set_defaults(run=lambda args: _cmd_eval(args, "SL"))
     field_args(sp)
     sp.add_argument("--matrix", required=True, help="row-major JSON matrix of encodings")
     sp.add_argument("--lambda", dest="lambda_twist", type=int, default=1,
@@ -70,12 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", action="store_true", help="also run the enumeration oracle")
 
     sp = sub.add_parser("count-trace", help="count invertible matrices by trace")
+    sp.set_defaults(run=_cmd_count_trace)
     field_args(sp)
     sp.add_argument("--beta", type=int, default=None,
                     help="trace value encoding (default: all of F_q)")
     sp.add_argument("--check", action="store_true", help="also count by enumeration")
 
     sp = sub.add_parser("verify", help="closed forms vs oracles over a grid")
+    sp.set_defaults(run=_cmd_verify)
     sp.add_argument("--max-n", type=int, default=2, help="largest dimension (default 2)")
     sp.add_argument("--fields", default="2,3,4,5",
                     help="comma-separated prime powers (default 2,3,4,5)")
@@ -87,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", default=None, help="output path (default: stdout)")
 
     sp = sub.add_parser("bench", help="time closed forms vs oracles (CSV)")
+    sp.set_defaults(run=_cmd_bench)
     field_args(sp)
     sp.add_argument("--repeat", type=int, default=3, help="repetitions; best is kept")
 
@@ -232,24 +236,12 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "eval-gl":
-            return _cmd_eval(args, "GL")
-        if args.command == "eval-sl":
-            return _cmd_eval(args, "SL")
-        if args.command == "count-trace":
-            return _cmd_count_trace(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except (ValueError, ZeroDivisionError, EnumerationBudgetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return 2
 
 
 def entry_point() -> None:

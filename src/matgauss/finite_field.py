@@ -434,12 +434,15 @@ def make_field(p: int, e: int = 1) -> Field:
     """Construct F_{p^e} with the deterministic modulus choice.
 
     Raises ValueError for non-prime p, e < 1, or p**e beyond DEFAULT_MAX_Q.
-    No table is built here; see ``Field``.
+    The size is checked before the primality test and before p**e is
+    computed.  No table is built here; see ``Field``.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be prime, got {p}")
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
-    if p**e > DEFAULT_MAX_Q:
+    if p > DEFAULT_MAX_Q or e > DEFAULT_MAX_Q.bit_length() or p**e > DEFAULT_MAX_Q:
         raise ValueError(f"field size {p}^{e} exceeds the budget of {DEFAULT_MAX_Q}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     return _make_field_cached(p, e)

@@ -10,11 +10,19 @@ the closed forms are
   SL, full rank:     q^C * K_n(lambda, det U)
   SL, rank deficit:  (-1)^u * q^C * prod_(i=2..n-u) (q^i - 1)
 
-where G is the classical Gauss sum and K_n the hyper-Kloosterman sum.  The
-GL full-rank value comes from ``characters.twisted_gauss_power``, which
-factors G^n through Jacobi sums; n - 1 ring products of G, the route the
-tests check it by, would cost a reduction in Z[zeta_m] each.  Each
-closed form is paired with a literal sum over the enumerated group;
+where G is the classical Gauss sum and K_n the hyper-Kloosterman sum.  One
+private ``_closed`` decides this case analysis for both groups: it checks
+the arguments, eliminates U once for its rank and det, and evaluates the
+case.  The GL full-rank value comes from ``characters.twisted_gauss_power``,
+which factors G^n through Jacobi sums; n - 1 ring products of G, the route
+the tests check it by, would cost a reduction in Z[zeta_m] each.
+
+The trace count follows from the same sums: summing lambda(a (tr X - beta))
+over a in F_q and X in GL_n gives q N(beta) = |GL_n| + sum_(a != 0)
+lambda(-a beta) S(aI), where S(aI), the trivial-chi GL sum at U = aI, is
+(-1)^n q^C.
+
+Each closed form is paired with a literal sum over the enumerated group;
 ``oracle_report`` runs both for one matrix, and ``verify_grid`` runs it plus
 the scaling-invariance and GL/SL ratio identities over a whole parameter grid.
 """
@@ -23,10 +31,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import compress
 from operator import getitem
 
+from . import matrix_fq
 from .budget import check_budget
 from .characters import (
     AdditiveCharacter,
@@ -37,7 +46,7 @@ from .characters import (
     value_ring,
 )
 from .cyclotomic import CyclotomicInteger
-from .finite_field import Field, FieldElement, is_prime, make_field
+from .finite_field import DEFAULT_MAX_Q, Field, FieldElement, is_prime, make_field
 from .matrix_fq import (
     MatrixFq,
     canonical_rank_matrix,
@@ -88,30 +97,22 @@ class SumReport:
         return self.closed_form == self.oracle
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "case_label": self.case_label,
-            "u": self.u,
-            "n": self.n,
-            "p": self.p,
-            "e": self.e,
-            "q": self.q,
-            "chi_index": self.chi_index,
-            "lambda_twist": self.lambda_twist,
-            "matrix": [list(row) for row in self.matrix],
-            "closed_form": self.closed_form.to_json_dict(),
-            "oracle": self.oracle.to_json_dict() if self.oracle is not None else None,
-            "verified": self.verified,
-            "note": self.note,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["matrix"] = [list(row) for row in self.matrix]
+        for key in ("closed_form", "oracle"):
+            if doc[key] is not None:
+                doc[key] = doc[key].to_json_dict()
+        doc["verified"] = self.verified
+        return doc
 
 
-def gl_case_label(u: int, n: int, chi: MultiplicativeCharacter) -> str:
+def _case(u: int, n: int, chi: MultiplicativeCharacter | None) -> str:
+    """The closed form's case at rank u: the SL sum's when chi is None."""
+    if chi is None:
+        return CASE_SL_FULL_RANK if u == n else CASE_SL_DEFICIENT
     if u == n:
         return CASE_FULL_RANK
-    if chi.is_trivial:
-        return CASE_TRIVIAL_CHI
-    return CASE_VANISHING
+    return CASE_TRIVIAL_CHI if chi.is_trivial else CASE_VANISHING
 
 
 def _require_shared_field(U: MatrixFq, lam: AdditiveCharacter,
@@ -124,58 +125,59 @@ def _require_shared_field(U: MatrixFq, lam: AdditiveCharacter,
     return f
 
 
-def gl_order(field: Field, n: int) -> int:
-    """|GL_n(F_q)| = prod_(i=0..n-1) (q^n - q^i)."""
-    q = field.q
-    qn = q**n
+def _q_product(q: int, lo: int, hi: int) -> int:
+    """prod_(i=lo..hi) (q^i - 1), 1 for an empty range."""
     out = 1
-    for i in range(n):
-        out *= qn - q**i
+    for i in range(lo, hi + 1):
+        out *= q**i - 1
     return out
 
 
+def gl_order(field: Field, n: int) -> int:
+    """|GL_n(F_q)| = q^C * prod_(i=1..n) (q^i - 1), C = n(n-1)/2."""
+    return field.q ** math.comb(n, 2) * _q_product(field.q, 1, n)
+
+
 def sl_order(field: Field, n: int) -> int:
-    return gl_order(field, n) // (field.q - 1)
+    return field.q ** math.comb(n, 2) * _q_product(field.q, 2, n)
 
 
 # ---------------------------------------------------------------------------
 # Closed forms.
 
 
-def _closed_form_setup(U: MatrixFq, lam: AdditiveCharacter,
-                       chi: MultiplicativeCharacter | None):
-    """(q, value ring, rank of U, q^C) for a closed form, its arguments checked."""
+def _closed(U: MatrixFq, chi: MultiplicativeCharacter | None,
+            lam: AdditiveCharacter) -> tuple[str, int, CyclotomicInteger]:
+    """(case, rank of U, value) of the closed form of the GL sum at U, or of
+    the SL sum when chi is None; one elimination gives rank and det."""
     f = _require_shared_field(U, lam, chi)
     if lam.is_trivial:
         raise ValueError("the closed form requires a nontrivial additive character")
-    return f.q, value_ring(f), U.rank(), f.q ** math.comb(U.n, 2)
+    n = U.n
+    u, det = matrix_fq._eliminate(f, [list(r) for r in U.rows])
+    case = _case(u, n, chi)
+    qc = f.q ** math.comb(n, 2)
+    if case == CASE_FULL_RANK:
+        value = qc * twisted_gauss_power(chi, lam, n, FieldElement(f, det))
+    elif case == CASE_SL_FULL_RANK:
+        value = qc * kloosterman(lam, n, FieldElement(f, det))
+    elif case == CASE_VANISHING:
+        value = value_ring(f).zero()
+    else:  # rank-deficient, chi trivial or the SL sum
+        lo = 2 if chi is None else 1
+        value = value_ring(f).from_int((-1) ** u * qc * _q_product(f.q, lo, n - u))
+    return case, u, value
 
 
 def gl_gauss_closed(U: MatrixFq, chi: MultiplicativeCharacter,
                     lam: AdditiveCharacter) -> CyclotomicInteger:
     """Closed form of sum over GL_n of chi(det X) * lambda(U . X)."""
-    q, ring, u, qc = _closed_form_setup(U, lam, chi)
-    n = U.n
-    if u == n:
-        return qc * twisted_gauss_power(chi, lam, n, U.det())
-    if chi.is_trivial:
-        prod = 1
-        for i in range(1, n - u + 1):
-            prod *= q**i - 1
-        return ring.from_int((-1) ** u * qc * prod)
-    return ring.zero()
+    return _closed(U, chi, lam)[2]
 
 
 def sl_gauss_closed(U: MatrixFq, lam: AdditiveCharacter) -> CyclotomicInteger:
     """Closed form of sum over SL_n of lambda(U . X)."""
-    q, ring, u, qc = _closed_form_setup(U, lam, None)
-    n = U.n
-    if u == n:
-        return qc * kloosterman(lam, n, U.det())
-    prod = 1
-    for i in range(2, n - u + 1):
-        prod *= q**i - 1
-    return ring.from_int((-1) ** u * qc * prod)
+    return _closed(U, None, lam)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +222,25 @@ def _character_sum(blocks, U: MatrixFq, chi: MultiplicativeCharacter | None,
     return ring.from_power_counts(counts)
 
 
+def _oracle(U: MatrixFq, chi: MultiplicativeCharacter | None,
+            lam: AdditiveCharacter) -> CyclotomicInteger:
+    """Literal sum over GL_n at U, over SL_n when chi is None."""
+    f = _require_shared_field(U, lam, chi)
+    return _character_sum(gl_blocks(f, U.n), U, chi, lam)
+
+
 def gl_gauss_bruteforce(U: MatrixFq, chi: MultiplicativeCharacter,
                         lam: AdditiveCharacter) -> CyclotomicInteger:
     """Literal sum over all of GL_n; the oracle for gl_gauss_closed.
 
     Unlike the closed form, this accepts a trivial lambda (it is just a sum).
     """
-    f = _require_shared_field(U, lam, chi)
-    return _character_sum(gl_blocks(f, U.n), U, chi, lam)
+    return _oracle(U, chi, lam)
 
 
 def sl_gauss_bruteforce(U: MatrixFq, lam: AdditiveCharacter) -> CyclotomicInteger:
     """Literal sum over all of SL_n; the oracle for sl_gauss_closed."""
-    f = _require_shared_field(U, lam, None)
-    return _character_sum(gl_blocks(f, U.n), U, None, lam)
+    return _oracle(U, None, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +250,9 @@ def sl_gauss_bruteforce(U: MatrixFq, lam: AdditiveCharacter) -> CyclotomicIntege
 def count_trace_closed(field: Field, n: int, beta: FieldElement) -> int:
     """Number of X in GL_n(F_q) with tr X = beta, by the closed formulas.
 
-    The count depends only on whether beta is zero.  Both divisions are
+    q N(beta) = |GL_n| + (-1)^n q^C sum_(a != 0) lambda(-a beta), the
+    trivial-chi GL sums at U = aI (see the module docstring), and that
+    character sum is q - 1 at beta = 0 and -1 elsewhere.  The division is
     exact in the integers; this is asserted rather than assumed.
     """
     if n < 1:
@@ -251,15 +260,8 @@ def count_trace_closed(field: Field, n: int, beta: FieldElement) -> int:
     if beta.field != field:
         raise ValueError("trace value from a different field")
     q = field.q
-    c2 = math.comb(n, 2)
-    prod = 1
-    for i in range(2, n + 1):
-        prod *= q**i - 1
-    if beta.enc == 0:
-        num = q**c2 * (q - 1) * ((-1) ** n + prod)
-    else:
-        num = q**c2 * ((-1) ** (n - 1) + (q - 1) * prod)
-    count, rem = divmod(num, q)
+    twists = q - 1 if beta.enc == 0 else -1
+    count, rem = divmod(gl_order(field, n) + (-1) ** n * q ** math.comb(n, 2) * twists, q)
     if rem:
         raise ArithmeticError("trace-count formula did not divide exactly")
     if count < 0:
@@ -288,15 +290,8 @@ def oracle_report(U: MatrixFq, chi: MultiplicativeCharacter | None,
     """The closed form of the GL sum at U (the SL sum when chi is None), and
     when ``check`` is set the oracle beside it.  The oracle runs first, so a
     check over the enumeration budget raises before any closed-form work."""
-    u = U.rank()
-    if chi is None:
-        case = CASE_SL_FULL_RANK if u == U.n else CASE_SL_DEFICIENT
-        oracle = sl_gauss_bruteforce(U, lam) if check else None
-        closed = sl_gauss_closed(U, lam)
-    else:
-        case = gl_case_label(u, U.n, chi)
-        oracle = gl_gauss_bruteforce(U, chi, lam) if check else None
-        closed = gl_gauss_closed(U, chi, lam)
+    oracle = _oracle(U, chi, lam) if check else None
+    case, u, closed = _closed(U, chi, lam)
     return SumReport(check=CHECK_ORACLE, case_label=case, closed_form=closed,
                      oracle=oracle, **_report_stub(U, chi, lam, u))
 
@@ -305,13 +300,9 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Split a prime power q into (p, e); rejects anything else."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field size must be an integer >= 2, got {q}")
-    p = q
-    for f in range(2, q + 1):
-        if f * f > q:
-            break
-        if q % f == 0:
-            p = f
-            break
+    if q > DEFAULT_MAX_Q:
+        raise ValueError(f"field size {q} exceeds the budget of {DEFAULT_MAX_Q}")
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
     e = 0
     rest = q
     while rest % p == 0:
@@ -354,9 +345,10 @@ def verify_grid(max_n: int, field_sizes, *, samples: int = 5, seed: int = 0,
                 mats = [canonical_rank_matrix(fld, n, u)]
                 mats.extend(random_rank_matrix(fld, n, u, rng) for _ in range(samples))
                 for U in mats:
-                    reports.extend(oracle_report(U, chi, lam) for chi in (*chis, None))
+                    cells = [oracle_report(U, chi, lam) for chi in (*chis, None)]
+                    reports.extend(cells)
                     if u < n:
-                        reports.append(_ratio_report(U, chis[0], lam, u))
+                        reports.append(_ratio_report(cells[0], cells[-1]))
             for chi in chis:
                 for _ in range(samples):
                     reports.append(_invariance_report(fld, n, chi, lam, rng))
@@ -378,14 +370,16 @@ def _report_stub(U: MatrixFq, chi: MultiplicativeCharacter | None,
     }
 
 
-def _ratio_report(U, trivial_chi, lam, u) -> SumReport:
-    return SumReport(
+def _ratio_report(gl: SumReport, sl: SumReport) -> SumReport:
+    """(q-1) times the SL closed form against the trivial-chi GL one, both
+    read off the oracle reports at the same U."""
+    return replace(
+        gl,
         check=CHECK_RATIO,
         case_label=CASE_SL_DEFICIENT,
-        closed_form=(U.field.q - 1) * sl_gauss_closed(U, lam),
-        oracle=gl_gauss_closed(U, trivial_chi, lam),
+        closed_form=(gl.q - 1) * sl.closed_form,
+        oracle=gl.closed_form,
         note="(q-1) * SL sum vs trivial-chi GL sum, rank-deficient case",
-        **_report_stub(U, trivial_chi, lam, u),
     )
 
 
@@ -401,7 +395,7 @@ def _invariance_report(fld, n, chi, lam, rng) -> SumReport:
         moved = moved * value_ring(fld).root_power(chi.exponent(det_pq))
     return SumReport(
         check=CHECK_INVARIANCE,
-        case_label=gl_case_label(u, n, chi),
+        case_label=_case(u, n, chi),
         closed_form=moved,
         oracle=direct,
         note="chi(det PQ) * sum(PUQ) vs sum(U), random invertible P, Q",

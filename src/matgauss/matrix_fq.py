@@ -253,6 +253,8 @@ def gl_blocks(field: Field, n: int):
     group comes back as a tuple, which callers must treat as read-only; a
     larger one is walked afresh on every call.
     """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     q = field.q
     check_budget(q ** (n * n), f"enumerating GL_{n}(F_{q})")
     key = (field, n)

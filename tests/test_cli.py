@@ -252,6 +252,11 @@ class TestOutputFile:
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (
+        ["no-such-command"],
+        # --seed belongs to verify only: no other command samples
+        ["eval-gl", "--p", "3", "--n", "2", "--matrix", "[[1,0],[0,1]]", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

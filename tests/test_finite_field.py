@@ -70,6 +70,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_field(2, 25)  # 2^25 over the default budget
 
+    @pytest.mark.parametrize("p,e", [(100000000000031, 1), (3, 10**7)])
+    def test_size_refused_before_primality_and_power(self, p, e, monkeypatch):
+        # raw CLI input: trial division up to sqrt(p), or 3^(10^7) itself,
+        # would take seconds before the size check refused it
+        def no_trial_division(n):
+            raise AssertionError("is_prime ran before the size check")
+
+        monkeypatch.setattr(finite_field, "is_prime", no_trial_division)
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            make_field(p, e)
+
     def test_same_parameters_share_construction(self):
         assert make_field(3, 2) is make_field(3, 2)
 

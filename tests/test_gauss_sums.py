@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from matgauss import matrix_fq
+from matgauss import gauss_sums, matrix_fq
 from matgauss.budget import EnumerationBudgetError
 from matgauss.characters import (
     AdditiveCharacter,
@@ -159,6 +159,29 @@ class TestSlClosedForm:
             assert sl_gauss_bruteforce(MatrixFq.zero(f, 2), lam0) == sl_order(f, 2)
 
 
+@pytest.mark.parametrize("u", [3, 2])
+@pytest.mark.parametrize("closed", [
+    lambda U, chi, lam: gl_gauss_closed(U, chi, lam),
+    lambda U, chi, lam: sl_gauss_closed(U, lam),
+    lambda U, chi, lam: oracle_report(U, chi, lam, check=False),
+    lambda U, chi, lam: oracle_report(U, None, lam, check=False),
+], ids=["gl", "sl", "gl-report", "sl-report"])
+def test_one_elimination_per_closed_form(u, closed, monkeypatch):
+    # rank and det of U come from one elimination, shared by case and value
+    f, chi, lam = setup_field(5, chi_index=1)
+    U = random_rank_matrix(f, 3, u, random.Random(f"one-elimination:{u}"))
+    calls = []
+    eliminate = matrix_fq._eliminate
+
+    def counted(field, work):
+        calls.append(len(work))
+        return eliminate(field, work)
+
+    monkeypatch.setattr(matrix_fq, "_eliminate", counted)
+    closed(U, chi, lam)
+    assert calls == [3]
+
+
 class TestOracleSums:
     """The oracles against the literal sum, written out with the characters.
 
@@ -279,6 +302,13 @@ class TestTraceCounts:
             assert count_trace_closed(f, 1, f.zero()) == 0
             assert count_trace_closed(f, 1, f.one()) == 1
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_both_routes_refuse_a_dimension_below_one(self, n):
+        f = make_field(3)
+        for count in (count_trace_closed, count_trace_bruteforce):
+            with pytest.raises(ValueError, match="dimension must be >= 1"):
+                count(f, n, f.zero())
+
     def test_partition_identity(self):
         for q, n in [(2, 2), (3, 2), (2, 3), (4, 2)]:
             p, e = factor_prime_power(q)
@@ -316,6 +346,15 @@ class TestFactorPrimePower:
         for bad in (1, 6, 12, 0, 100):
             with pytest.raises(ValueError):
                 factor_prime_power(bad)
+
+    def test_size_refused_before_trial_division(self, monkeypatch):
+        # the loop's trial division up to sqrt(q) would take over a second here
+        def no_primality_test(n):
+            raise AssertionError("factored before the size check")
+
+        monkeypatch.setattr(gauss_sums, "is_prime", no_primality_test)
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            factor_prime_power(100000000000031)
 
 
 class TestBudgets:

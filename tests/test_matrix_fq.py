@@ -222,6 +222,11 @@ class TestEnumeration:
         assert len(members) == order_gl(3, 2) // 2
         assert [x for x, d in walked_members(f, 2) if d == 1] == members
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_below_one_refused(self, n):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            gl_blocks(make_field(3), n)
+
     @pytest.mark.parametrize("p,n,budget", [(5, 3, "1000"), (7, 2, "10")])
     def test_budget_enforced(self, monkeypatch, p, n, budget):
         # the budget is checked when gl_blocks is called, before any block

@@ -136,3 +136,44 @@ def test_benchmark_rounds_evaluate_and_pass_their_checks(monkeypatch):
         assert reqs
         assert [checker(req, workloads.evaluate(req)) for req in reqs] == [None] * len(reqs), name
         workloads.reset_caches(fields.values())
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names a module imports and never reads.  An annotation is a read, a
+    string one too, and so is a name the module lists in ``__all__``."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        for part in (n for a in annotations if a is not None for n in ast.walk(a)):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_guard_sees_its_cases():
+    tree = ast.parse("import os, os.path as osp\nfrom json import dumps, loads\n"
+                     "from x import Y\n__all__ = ['loads']\ndef f(a: 'Y') -> None: pass\n")
+    assert _unused_imports(tree) == ["os", "osp", "dumps"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in Path(matgauss.__file__).parent.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_unused_imports(path):
+    source = (Path(matgauss.__file__).parent / path).read_text(encoding="utf-8")
+    assert _unused_imports(ast.parse(source)) == []
