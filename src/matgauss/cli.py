@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Subcommands: eval-gl, eval-sl, count-trace, verify, bench; each parser sets
-the ``run`` function ``main`` calls.  All structured output is JSON with
-sorted keys (bench emits CSV); only verify samples, and fixing its --seed
-fixes the output byte for byte.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  GAUSS_SUMS_BUDGET, the package's one enumeration budget,
-caps every brute-force check: over it, eval-gl, eval-sl and count-trace
-report the oracle as skipped, and verify and bench fail with a usage error.
+Subcommands: eval-gl, eval-sl, count-trace, verify; each parser sets the
+``run`` function ``main`` calls.  All output is JSON with sorted keys; only
+verify samples, and fixing its --seed fixes the output byte for byte.  Exit
+codes: 0 success, 1 verification failure, 2 usage error.  GAUSS_SUMS_BUDGET,
+the package's one enumeration budget, caps every brute-force check: over it,
+eval-gl, eval-sl and count-trace report the oracle as skipped, and verify
+fails with a usage error.
 """
 
 from __future__ import annotations
@@ -14,28 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .budget import EnumerationBudgetError
-from .characters import (
-    AdditiveCharacter,
-    MultiplicativeCharacter,
-    clear_character_caches,
-    kloosterman,
-    kloosterman_bruteforce,
-)
+from .characters import AdditiveCharacter, MultiplicativeCharacter
 from .finite_field import make_field
-from .gauss_sums import (
-    count_trace_bruteforce,
-    count_trace_closed,
-    gl_gauss_bruteforce,
-    gl_gauss_closed,
-    oracle_report,
-    sl_gauss_bruteforce,
-    sl_gauss_closed,
-    verify_grid,
-)
-from .matrix_fq import MatrixFq, clear_member_cache
+from .gauss_sums import count_trace_bruteforce, count_trace_closed, oracle_report, verify_grid
+from .matrix_fq import MatrixFq
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,26 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0, help="sampling seed")
     sp.add_argument("--output", default=None, help="output path (default: stdout)")
 
-    sp = sub.add_parser("bench", help="time closed forms vs oracles (CSV)")
-    sp.set_defaults(run=_cmd_bench)
-    field_args(sp)
-    sp.add_argument("--repeat", type=int, default=3, help="repetitions; best is kept")
-
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit_json(doc: dict, output: str | None) -> None:
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(doc: dict, output: str | None) -> None:
-    _emit(json.dumps(doc, sort_keys=True, indent=2), output)
+            fh.write(text)
 
 
 def _parse_matrix(text: str, field, n: int) -> MatrixFq:
@@ -195,44 +169,6 @@ def _cmd_verify(args) -> int:
     }
     _emit_json(doc, args.output)
     return 0 if passed == len(reports) else 1
-
-
-def _best_time_us(fn, repeat: int) -> float:
-    """Best of ``repeat`` cold runs: every cache an op fills is cleared first."""
-    best = None
-    for _ in range(repeat):
-        clear_character_caches()
-        clear_member_cache()
-        start = time.perf_counter_ns()
-        fn()
-        took = (time.perf_counter_ns() - start) / 1000.0
-        if best is None or took < best:
-            best = took
-    return best
-
-
-def _cmd_bench(args) -> int:
-    fld = make_field(args.p, args.e)
-    n = args.n
-    lam = AdditiveCharacter(fld.element(1))
-    chi = MultiplicativeCharacter(fld, 1 if fld.q > 2 else 0)
-    U = MatrixFq.identity(fld, n)
-    one = fld.one()
-    ops = [
-        ("gl_closed", lambda: gl_gauss_closed(U, chi, lam)),
-        ("gl_bruteforce", lambda: gl_gauss_bruteforce(U, chi, lam)),
-        ("sl_closed", lambda: sl_gauss_closed(U, lam)),
-        ("sl_bruteforce", lambda: sl_gauss_bruteforce(U, lam)),
-        ("kloosterman_dp", lambda: kloosterman(lam, n, one)),
-        ("kloosterman_enum", lambda: kloosterman_bruteforce(lam, n, one)),
-        ("count_bruteforce", lambda: count_trace_bruteforce(fld, n, fld.zero())),
-    ]
-    lines = ["operation,n,q,microseconds"]
-    for name, fn in ops:
-        took = _best_time_us(fn, args.repeat)
-        lines.append(f"{name},{n},{fld.q},{took:.1f}")
-    _emit("\n".join(lines), args.output)
-    return 0
 
 
 def main(argv=None) -> int:

@@ -309,6 +309,16 @@ class TestTraceCounts:
             with pytest.raises(ValueError, match="dimension must be >= 1"):
                 count(f, n, f.zero())
 
+    def test_closed_form_refuses_a_dimension_past_the_matrix_bound(self, monkeypatch):
+        # |GL_n| grows like q^(n^2): refuse past the matrix bound before computing it
+        def no_order(*args):
+            raise AssertionError("counted before the dimension check")
+
+        monkeypatch.setattr(gauss_sums, "gl_order", no_order)
+        f = make_field(2)
+        with pytest.raises(ValueError, match="dimension"):
+            count_trace_closed(f, matrix_fq.MAX_DIMENSION + 1, f.zero())
+
     def test_partition_identity(self):
         for q, n in [(2, 2), (3, 2), (2, 3), (4, 2)]:
             p, e = factor_prime_power(q)
@@ -348,11 +358,11 @@ class TestFactorPrimePower:
                 factor_prime_power(bad)
 
     def test_size_refused_before_trial_division(self, monkeypatch):
-        # the loop's trial division up to sqrt(q) would take over a second here
-        def no_primality_test(n):
+        # the trial division up to sqrt(q) would take over a second here
+        def no_trial_division(n):
             raise AssertionError("factored before the size check")
 
-        monkeypatch.setattr(gauss_sums, "is_prime", no_primality_test)
+        monkeypatch.setattr(gauss_sums.math, "isqrt", no_trial_division)
         with pytest.raises(ValueError, match="exceeds the budget"):
             factor_prime_power(100000000000031)
 
@@ -402,6 +412,16 @@ class TestVerifyGrid:
         monkeypatch.setenv("GAUSS_SUMS_BUDGET", "1000")
         with pytest.raises(EnumerationBudgetError):
             verify_grid(3, [5], samples=1)
+
+    def test_first_oracle_refuses_before_any_closed_form(self, monkeypatch):
+        # verify_grid has no budget check of its own: the oracle's must come first
+        def no_closed_form(*args):
+            raise AssertionError("closed form evaluated before the budget check")
+
+        monkeypatch.setenv("GAUSS_SUMS_BUDGET", "2")
+        monkeypatch.setattr(gauss_sums, "_closed", no_closed_form)
+        with pytest.raises(EnumerationBudgetError, match="budget"):
+            verify_grid(1, [3])
 
 
 def test_report_serialization_round_trip():
