@@ -118,10 +118,7 @@ def _cmd_eval(args, group: str) -> int:
 
 def _cmd_count_trace(args) -> int:
     fld = make_field(args.p, args.e)
-    if args.beta is None:
-        betas = list(range(fld.q))
-    else:
-        betas = [args.beta]
+    betas = range(fld.q) if args.beta is None else [args.beta]
     rows = []
     all_ok = True
     checked = False
@@ -175,7 +172,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, ZeroDivisionError, EnumerationBudgetError) as err:
+    except (ValueError, ZeroDivisionError, EnumerationBudgetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

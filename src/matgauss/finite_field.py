@@ -28,19 +28,9 @@ DEFAULT_MAX_Q = 2**20
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for the p <= 2**31 we allow."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Primality by ``distinct_prime_factors``, the package's one trial
+    division; adequate for the p <= DEFAULT_MAX_Q that fields allow."""
+    return n >= 2 and distinct_prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .characters import (
     twisted_gauss_power,
     value_ring,
 )
-from .cyclotomic import CyclotomicInteger
+from .cyclotomic import CyclotomicInteger, distinct_prime_factors
 from .finite_field import DEFAULT_MAX_Q, Field, FieldElement, make_field
 from .matrix_fq import (
     MatrixFq,
@@ -302,14 +302,14 @@ def factor_prime_power(q: int) -> tuple[int, int]:
         raise ValueError(f"field size must be an integer >= 2, got {q}")
     if q > DEFAULT_MAX_Q:
         raise ValueError(f"field size {q} exceeds the budget of {DEFAULT_MAX_Q}")
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    primes = distinct_prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
+    p = primes[0]
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
     return p, e
 
 
@@ -328,8 +328,13 @@ def verify_grid(max_n: int, field_sizes, *, samples: int = 5, seed: int = 0,
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    sizes = sorted(set(int(v) for v in field_sizes))
+    if not sizes:
+        raise ValueError("no field sizes to verify")
     reports: list[SumReport] = []
-    for q in sorted(set(int(v) for v in field_sizes)):
+    for q in sizes:
         p, e = factor_prime_power(q)
         fld = make_field(p, e)
         if not 0 < lambda_twist < q:

@@ -1,8 +1,7 @@
 """Square matrices over F_q.
 
-Provides det and rank (one elimination), trace, partial trace, the
-entrywise (Frobenius) product, and exhaustive enumeration of GL_n through
-``gl_blocks``.
+Provides det and rank (one elimination), trace, the entrywise (Frobenius)
+product, and exhaustive enumeration of GL_n through ``gl_blocks``.
 
 Enumeration walks GL_n row by row, in lexicographic order of the flattened
 entry encodings: each (n-1)-row prefix gets its cofactor vector w once, and
@@ -11,7 +10,8 @@ elimination.  A group is a list of blocks (prefix, prefix trace, dets), one per
 independent prefix, with dets[k] = det(X) for the k-th last row; groups under
 a size cap keep their blocks in a cache.  ``gl_blocks`` is the one
 enumeration interface: the brute-force oracles, the trace count and SL_n (the
-members with det 1) all read the blocks directly.
+members with det 1) all read the blocks directly.  ``gl_members`` is the same
+call under the name of the benchmark's traced span, and nothing else.
 """
 
 from __future__ import annotations
@@ -22,18 +22,6 @@ from typing import Iterable, Iterator
 
 from .budget import check_budget
 from .finite_field import Field, FieldElement
-
-__all__ = [
-    "MatrixFq",
-    "frobenius_product",
-    "gl_blocks",
-    "gl_members",
-    "clear_member_cache",
-    "canonical_rank_matrix",
-    "random_matrix",
-    "random_invertible",
-    "random_rank_matrix",
-]
 
 MAX_DIMENSION = 8
 
@@ -131,17 +119,10 @@ class MatrixFq:
         return MatrixFq(f, out)
 
     def trace(self) -> FieldElement:
-        return self.partial_trace(self.n)
-
-    def partial_trace(self, u: int) -> FieldElement:
-        """Sum of the first u diagonal entries."""
-        if not 0 <= u <= self.n:
-            raise ValueError(f"partial trace length {u} out of range [0, {self.n}]")
-        f = self.field
         s = 0
-        for i in range(u):
-            s = f.add_enc(s, self.rows[i][i])
-        return FieldElement(f, s)
+        for i, row in enumerate(self.rows):
+            s = self.field.add_enc(s, row[i])
+        return FieldElement(self.field, s)
 
     def det(self) -> FieldElement:
         return FieldElement(self.field, _eliminate(self.field, [list(r) for r in self.rows])[1])
@@ -270,29 +251,9 @@ def gl_blocks(field: Field, n: int):
     return walk
 
 
-def gl_members(field: Field, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Compact GL_n(F_q) stream: (flat entries, det encoding, trace encoding).
-
-    Yields each invertible matrix exactly once, in lexicographic order of the
-    flattened entry encodings, by flattening ``gl_blocks``.  A group under
-    the cap is walked into the cache when this is called, not when the
-    stream is first read.  Nothing in the package reads it: it stays only
-    for the benchmark's traced round (perfbench's ``matrix_fq.gl_members``
-    span) until that span times ``gl_blocks`` instead.
-    """
-    return _flatten(field, n, gl_blocks(field, n))
-
-
-def _flatten(field: Field, n: int, blocks) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    q, add = field.q, field.add_enc
-    last_rows = list(itertools.product(range(q), repeat=n))
-    cycles = q ** (n - 1)
-    for prefix, tr, dets in blocks:
-        # x[n-1] cycles fastest through the last rows
-        traces = [add(tr, c) for c in range(q)] * cycles
-        for x, d, t in zip(last_rows, dets, traces):
-            if d:
-                yield prefix + x, d, t
+def gl_members(field: Field, n: int):
+    """``gl_blocks``, kept as the name of the benchmark's traced span."""
+    return gl_blocks(field, n)
 
 
 def clear_member_cache() -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -205,9 +206,16 @@ class TestVerify:
         assert code == 2
         assert "budget" in err
 
-    def test_non_prime_power_field(self, capsys):
-        code, _, err = run(capsys, "verify", "--fields", "6")
+    @pytest.mark.parametrize("argv", [
+        ["--fields", "6"],
+        ["--max-n", "1", "--fields", "3", "--samples", "-1"],
+        ["--fields", ","],
+    ], ids=["non-prime-power", "negative-samples", "no-fields"])
+    def test_non_prime_power_field(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestOutputFile:
@@ -221,6 +229,41 @@ class TestOutputFile:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["command"] == "eval-gl"
+
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(
+            capsys, "count-trace", "--p", "3", "--n", "2", "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not target.parent.exists()
+
+
+# the five reference commands and the sha256 of the JSON each writes
+REFERENCE_OUTPUTS = {
+    "verify-n2": (["verify", "--max-n", "2", "--fields", "2,3,4,5", "--seed", "7"],
+                  "27faab46852f3e350dbfe958496905ceccc3477bd22beed21f42a8780915138c"),
+    "verify-n3": (["verify", "--max-n", "3", "--fields", "2,3", "--seed", "1", "--samples", "2"],
+                  "2e74bddb4414524f2443caf3e931eeb627050298049c90a235aaa8488092fef6"),
+    "count-trace": (["count-trace", "--p", "3", "--n", "3", "--check"],
+                    "288ddd877a4f1690b1bf938e07e2618d453f3e7e29511774c946ba50467aceab"),
+    "eval-gl": (["eval-gl", "--p", "7", "--n", "2", "--matrix", "[[1,2],[3,4]]", "--chi", "1",
+                 "--check"],
+                "49fba4c5bf4ac85132b28731daed50615256f41200abc0c424772d016f41efd2"),
+    "eval-sl": (["eval-sl", "--p", "5", "--n", "3", "--matrix", "[[1,2,0],[3,4,0],[0,0,0]]",
+                 "--check"],
+                "3a29bd045e48f0c13a2bc4c32d426e11e108918b11d309a807d3f4d615b0d259"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_OUTPUTS))
+def test_reference_output_is_unchanged(name, tmp_path):
+    argv, digest = REFERENCE_OUTPUTS[name]
+    target = tmp_path / "out.json"
+    assert main(argv + ["--output", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_usage_error_exit_code(capsys):

@@ -362,7 +362,7 @@ class TestFactorPrimePower:
         def no_trial_division(n):
             raise AssertionError("factored before the size check")
 
-        monkeypatch.setattr(gauss_sums.math, "isqrt", no_trial_division)
+        monkeypatch.setattr(gauss_sums, "distinct_prime_factors", no_trial_division)
         with pytest.raises(ValueError, match="exceeds the budget"):
             factor_prime_power(100000000000031)
 

@@ -2,7 +2,6 @@ import gc
 import itertools
 import random
 import tracemalloc
-from functools import lru_cache
 
 import pytest
 
@@ -14,7 +13,6 @@ from matgauss.matrix_fq import (
     clear_member_cache,
     frobenius_product,
     gl_blocks,
-    gl_members,
     random_invertible,
     random_rank_matrix,
 )
@@ -53,15 +51,10 @@ class TestBasics:
         b = MatrixFq(f, [[0, 1], [2, 3]])
         assert (a @ b).to_int_rows() == [[4, 2], [3, 0]]  # computed mod 5
 
-    def test_trace_and_partial_trace(self):
+    def test_trace(self):
         f = make_field(5)
         x = MatrixFq(f, [[1, 2, 3], [4, 4, 1], [0, 2, 3]])
-        assert x.partial_trace(0).enc == 0
-        assert x.partial_trace(1).enc == 1
-        assert x.partial_trace(2).enc == 0
-        assert x.trace() == x.partial_trace(3)
-        with pytest.raises(ValueError):
-            x.partial_trace(4)
+        assert x.trace().enc == 3  # 1 + 4 + 3 mod 5
 
 
 class TestFrobeniusProduct:
@@ -235,15 +228,8 @@ class TestEnumeration:
             gl_blocks(make_field(p), n)
 
 
-@lru_cache(maxsize=None)
-def reference_members(p, e, n):
-    """GL_n(F_q) from the literal enumeration as (flat entries, det, trace)."""
-    f = make_field(p, e)
-    return tuple((sum(x.rows, ()), det.enc, x.trace().enc) for x, det in literal_gl(f, n))
-
-
 class TestRowWalk:
-    """The member stream against a filter over all q^(n*n) candidates."""
+    """The walked blocks against a filter over all q^(n*n) candidates."""
 
     @pytest.mark.parametrize("cached", [True, False], ids=["cached", "streaming"])
     @pytest.mark.parametrize("p,e,n", [
@@ -255,13 +241,18 @@ class TestRowWalk:
             monkeypatch.setattr(matrix_fq, "_MEMBER_CACHE_MAX_INTS", 0)
         f = make_field(p, e)
         clear_member_cache()
-        members = gl_members(f, n)
-        # the call itself fills the block cache, before the stream is read
+        blocks = gl_blocks(f, n)
+        # the call itself fills the block cache, before any block is read
         assert isinstance(matrix_fq._GL_CACHE.get((f, n)), tuple) == cached
         assert ((f, n) in matrix_fq._GL_CACHE) == cached
-        expected = reference_members(p, e, n)
-        assert tuple(members) == expected
-        assert len(expected) == order_gl(f.q, n)
+        members = walked_members(f, n)
+        assert members == [(x, det.enc) for x, det in literal_gl(f, n)]
+        assert len(members) == order_gl(f.q, n)
+        # each block's prefix trace plus x[n-1] is tr X, member by member
+        last_rows = list(itertools.product(range(f.q), repeat=n))
+        traces = [f.add_enc(tr, x[n - 1])
+                  for _prefix, tr, dets in blocks for x, d in zip(last_rows, dets) if d]
+        assert traces == [x.trace().enc for x, _det in members]
 
 
 class TestBlockCache:
@@ -274,7 +265,7 @@ class TestBlockCache:
         gc.collect()
         tracemalloc.start()
         try:
-            gl_members(f, 2)
+            gl_blocks(f, 2)
             gc.collect()
             retained, _peak = tracemalloc.get_traced_memory()
         finally:
