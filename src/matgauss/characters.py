@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .budget import check_budget
@@ -42,12 +41,38 @@ def value_ring(field: Field) -> CyclotomicRing:
 
 
 class _Character:
-    """What both characters share.  Constructing one is the one place a field
-    is admitted: a value ring past the order bound is refused, and nothing,
-    neither ring nor field table, is built."""
+    """What both characters share: immutable, and equal when they have the
+    same class and ``_key``, the arguments they were built from (a copy is
+    built from them too).
+    Constructing one is the one place a field is admitted: a value ring
+    past the order bound is refused, and nothing, neither ring nor field
+    table, is built."""
 
-    def __post_init__(self):
-        check_order(self.field.p * (self.field.q - 1))
+    __slots__ = ()
+
+    def __init__(self, field: Field) -> None:
+        check_order(field.p * (field.q - 1))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
     def __call__(self, x: FieldElement) -> CyclotomicInteger:
         if x.field != self.field:
@@ -64,11 +89,17 @@ def build_mult_table(field: Field) -> Field:
     return field
 
 
-@dataclass(frozen=True)
 class AdditiveCharacter(_Character):
     """x -> zeta_p^(tr(a*x)); nontrivial exactly when the twist a is nonzero."""
 
-    a: FieldElement
+    __slots__ = ("a",)
+
+    def __init__(self, a: FieldElement) -> None:
+        super().__init__(a.field)
+        object.__setattr__(self, "a", a)
+
+    def _key(self) -> tuple:
+        return (self.a,)
 
     @property
     def field(self) -> Field:
@@ -85,18 +116,21 @@ class AdditiveCharacter(_Character):
         return t * (f.q - 1)
 
 
-@dataclass(frozen=True)
 class MultiplicativeCharacter(_Character):
     """x -> zeta_(q-1)^(index * dlog(x)) on F_q^*; index 0 is the trivial one."""
 
-    field: Field
-    index: int
+    __slots__ = ("field", "index")
 
-    def __post_init__(self):
-        super().__post_init__()
-        q = self.field.q
-        if not 0 <= self.index < max(q - 1, 1):
-            raise ValueError(f"character index {self.index} out of range [0, {q - 1})")
+    def __init__(self, field: Field, index: int) -> None:
+        super().__init__(field)
+        q = field.q
+        if not 0 <= index < max(q - 1, 1):
+            raise ValueError(f"character index {index} out of range [0, {q - 1})")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "index", index)
+
+    def _key(self) -> tuple:
+        return (self.field, self.index)
 
     @property
     def is_trivial(self) -> bool:

@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: eval-gl, eval-sl, count-trace, verify; each parser sets the
-``run`` function ``main`` calls.  All output is JSON with sorted keys; only
-verify samples, and fixing its --seed fixes the output byte for byte.  Exit
+``run`` function ``main`` calls, which returns the JSON document and the exit
+code.  ``main`` opens --output before that work, so an unwritable path is a
+usage error at once (and a failed run leaves the file empty), and writes the
+document after it.  All output is JSON with sorted keys; only verify
+samples, and fixing its --seed fixes the output byte for byte.  Exit
 codes: 0 success, 1 verification failure, 2 usage error.  GAUSS_SUMS_BUDGET,
 the package's one enumeration budget, caps every brute-force check: over it,
 eval-gl, eval-sl and count-trace report the oracle as skipped, and verify
@@ -76,15 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _parse_matrix(text: str, field, n: int) -> MatrixFq:
     try:
         data = json.loads(text)
@@ -100,7 +94,7 @@ def _parse_matrix(text: str, field, n: int) -> MatrixFq:
     return MatrixFq(field, data)
 
 
-def _cmd_eval(args, group: str) -> int:
+def _cmd_eval(args, group: str) -> tuple[dict, int]:
     fld = make_field(args.p, args.e)
     lam = AdditiveCharacter(fld.element(args.lambda_twist))
     U = _parse_matrix(args.matrix, fld, args.n)
@@ -109,14 +103,12 @@ def _cmd_eval(args, group: str) -> int:
         report = oracle_report(U, chi, lam, check=args.check)
     except EnumerationBudgetError as err:
         # refused before the walk and the closed form, so nothing runs twice
-        report = oracle_report(U, chi, lam, check=False)
-        report.note = f"oracle skipped: {err}"
+        report = oracle_report(U, chi, lam, check=False)._replace(note=f"oracle skipped: {err}")
     doc = {"command": f"eval-{group.lower()}", **report.to_json_dict()}
-    _emit_json(doc, args.output)
-    return 1 if report.verified is False else 0
+    return doc, 1 if report.verified is False else 0
 
 
-def _cmd_count_trace(args) -> int:
+def _cmd_count_trace(args) -> tuple[dict, int]:
     fld = make_field(args.p, args.e)
     betas = range(fld.q) if args.beta is None else [args.beta]
     rows = []
@@ -142,11 +134,10 @@ def _cmd_count_trace(args) -> int:
         "counts": rows,
         "verified": all_ok if checked else None,
     }
-    _emit_json(doc, args.output)
-    return 1 if checked and not all_ok else 0
+    return doc, 1 if checked and not all_ok else 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     sizes = [int(tok) for tok in args.fields.split(",") if tok.strip()]
     reports = verify_grid(
         args.max_n, sizes, samples=args.samples, seed=args.seed,
@@ -164,14 +155,21 @@ def _cmd_verify(args) -> int:
                     "failed": len(reports) - passed},
         "reports": [r.to_json_dict() for r in reports],
     }
-    _emit_json(doc, args.output)
-    return 0 if passed == len(reports) else 1
+    return doc, 0 if passed == len(reports) else 1
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        # opened before the work, so an unwritable path fails at once
+        out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+        try:
+            doc, code = args.run(args)
+            out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        finally:
+            if out is not sys.stdout:
+                out.close()
+        return code
     except (ValueError, ZeroDivisionError, EnumerationBudgetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

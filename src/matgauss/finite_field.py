@@ -12,15 +12,19 @@ Arithmetic reads log, antilog and Zech tables, one path for every p and e
 (see ``Field``); the characters read the same log table as their discrete
 log, and decide themselves which fields their values can live on.  The
 tables are built by walking x -> g * x through a table of that F_p-linear
-map, so the polynomial helpers serve only the modulus and generator searches
-and the map's e columns.  The trace, also F_p-linear, is a table of q
+map, made in one pass over F_q by int operations on packed digits, so the
+polynomial helpers serve only the modulus and generator searches and the
+map's e columns.  The trace, also F_p-linear, is a table of q
 entries built from its values on the digits.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
+from array import array
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .cyclotomic import distinct_prime_factors
 
@@ -304,13 +308,66 @@ def linear_table(p: int, coeffs) -> list[int]:
     return out
 
 
+def _digitwise_table(p: int, columns: list[list[int]]) -> list[int]:
+    """The F_p-linear map x -> sum(x_i * columns[i]) on F_q, each column the
+    e digits of its image, as encodings indexed by the encoding of x.
+
+    The table doubles over the digits of x: the entries for x < p^(i+1) are
+    the p copies of those for x < p^i, the d-th plus d * columns[i].  An
+    entry packs its digits k bits apart into a fixed slot of one int, so
+    that a step is a few int operations over all its slots at once.  At
+    p = 2 (k = 1) the digit-wise sum is xor and the slot is the encoding.
+    At odd p a plain add leaves each digit below 2p - 1 <= 2^(k-1); adding
+    2^(k-1) - p to every digit sets bit k-1 exactly where a digit reached p,
+    and those digits then lose p without a borrow.  The slots are finally
+    read back as encodings, sum(d_j * p^j), over all slots at once too.
+    """
+    e = len(columns)
+    k = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    size = 4 if k * e <= 32 else 8  # bytes a slot; encodings are below 2^20
+    typecode, order = ("I" if size == 4 else "Q"), sys.byteorder
+
+    def slots(value: int, count: int) -> int:
+        return int.from_bytes(value.to_bytes(size, order) * count, order)
+
+    def every_digit(value: int) -> int:
+        return sum(value << k * j for j in range(e))
+
+    def multiples(column: list[int]) -> list[int]:
+        # d * column for d < p, packed
+        out = [0] * p
+        for j, c in enumerate(column):
+            out = list(map(operator.add, out, [d * c % p << k * j for d in range(p)]))
+        return out
+
+    half = 1 << (k - 1)
+    packed, n = int.from_bytes(array(typecode, multiples(columns[0])), order), p
+    for column in columns[1:]:
+        copies = int.from_bytes(packed.to_bytes(n * size, order) * p, order)
+        steps = b"".join(v.to_bytes(size, order) * n for v in multiples(column))
+        n *= p
+        if p == 2:
+            packed = copies ^ int.from_bytes(steps, order)
+        else:
+            packed = copies + int.from_bytes(steps, order)
+            reached = (packed + slots(every_digit(half - p), n)) & slots(every_digit(half), n)
+            packed -= (reached >> (k - 1)) * p
+    if p > 2:
+        low, enc = slots((1 << k) - 1, n), 0
+        for j in reversed(range(e)):
+            enc = enc * p + (packed >> k * j & low)
+        packed = enc
+    return array(typecode, packed.to_bytes(n * size, order)).tolist()
+
+
 def _build_tables(field: Field) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The antilog, log and Zech tables of F_q, by walking x -> g * x.
 
     The generator g is the first element in encoding order of full order,
     i.e. with g^((q-1)/r) != 1 for every prime r dividing q-1.  Multiplying
-    by g is F_p-linear in the digits, so each digit of g * x is tabulated
-    over F_q from the columns g * x^i, and the walk is one lookup per step.
+    by g is F_p-linear in the digits, so it is tabulated over F_q in one
+    pass from the columns g * x^i (``_digitwise_table``), and the walk is
+    one lookup per step.
     """
     p, e, q = field.p, field.e, field.q
     modulus = list(field.modulus)
@@ -322,12 +379,8 @@ def _build_tables(field: Field) -> tuple[tuple[int, ...], tuple[int, ...], tuple
             break
     else:
         raise RuntimeError("no generator found")  # unreachable: F_q^* is cyclic
-    columns = [_poly_mulmod(digits, [0] * i + [1], modulus, p) for i in range(e)]
-    times_g = [0] * q
-    for j in range(e):
-        scale = p**j
-        digit = linear_table(p, [col[j] for col in columns])
-        times_g = [t + scale * v for t, v in zip(times_g, digit)]
+    times_g = _digitwise_table(p, [_poly_mulmod(digits, [0] * i + [1], modulus, p)
+                                   for i in range(e)])
     exp = [0] * (q - 1)
     log = [-1] * q
     enc = 1

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from itertools import compress
 from operator import getitem
 
@@ -66,28 +66,17 @@ CHECK_INVARIANCE = "scaling-invariance"
 CHECK_RATIO = "gl-sl-ratio"
 
 
-@dataclass
-class SumReport:
+class SumReport(namedtuple("SumReport", "check case_label u n p e q chi_index lambda_twist "
+                                       "matrix closed_form oracle note", defaults=("",))):
     """One verified (or verifiable) sum evaluation.
 
     For ``closed-vs-oracle`` checks, ``closed_form`` holds the closed-form
     value and ``oracle`` the enumeration value.  For identity checks both
     slots hold the two sides being compared (the transformed side first).
+    A report is immutable; ``_replace`` builds a copy with changed fields.
     """
 
-    check: str
-    case_label: str
-    u: int
-    n: int
-    p: int
-    e: int
-    q: int
-    chi_index: int | None
-    lambda_twist: int
-    matrix: tuple[tuple[int, ...], ...]
-    closed_form: CyclotomicInteger
-    oracle: CyclotomicInteger | None
-    note: str = ""
+    __slots__ = ()
 
     @property
     def verified(self) -> bool | None:
@@ -96,7 +85,7 @@ class SumReport:
         return self.closed_form == self.oracle
 
     def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = self._asdict()
         doc["matrix"] = [list(row) for row in self.matrix]
         for key in ("closed_form", "oracle"):
             if doc[key] is not None:
@@ -377,8 +366,7 @@ def _report_stub(U: MatrixFq, chi: MultiplicativeCharacter | None,
 def _ratio_report(gl: SumReport, sl: SumReport) -> SumReport:
     """(q-1) times the SL closed form against the trivial-chi GL one, both
     read off the oracle reports at the same U."""
-    return replace(
-        gl,
+    return gl._replace(
         check=CHECK_RATIO,
         case_label=CASE_SL_DEFICIENT,
         closed_form=(gl.q - 1) * sl.closed_form,

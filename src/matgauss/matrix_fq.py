@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .budget import check_budget
 from .finite_field import Field, FieldElement

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -9,6 +10,7 @@ from matgauss.characters import (
     AdditiveCharacter,
     MultiplicativeCharacter,
     _jacobi_tally,
+    _kloosterman_levels,
     classical_gauss_sum,
     kloosterman,
     kloosterman_bruteforce,
@@ -54,6 +56,57 @@ class TestAdmission:
         with pytest.raises(ValueError, match="order 1048574 exceeds the supported bound"):
             admit(f)
         assert_no_tables(f)
+
+
+class TestValueSemantics:
+    """Characters are immutable values: equal when built from equal
+    arguments, hashed alike, and usable as cache keys."""
+
+    def test_equal_twists_are_equal_and_hash_equal(self):
+        f = make_field(3, 2)
+        a, b = AdditiveCharacter(f.element(4)), AdditiveCharacter(make_field(3, 2).element(4))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != AdditiveCharacter(f.element(5))
+
+    def test_field_and_index_decide_equality(self):
+        f, g = make_field(5), make_field(7)
+        chi = MultiplicativeCharacter(f, 2)
+        assert chi == MultiplicativeCharacter(f, 2)
+        assert hash(chi) == hash(MultiplicativeCharacter(f, 2))
+        assert chi != MultiplicativeCharacter(f, 3)
+        assert chi != MultiplicativeCharacter(g, 2)
+        assert chi != AdditiveCharacter(f.element(2))
+
+    @pytest.mark.parametrize("name", ["a", "field", "index", "other"])
+    def test_attribute_assignment_raises(self, name):
+        f = make_field(5)
+        for char in (AdditiveCharacter(f.element(1)), MultiplicativeCharacter(f, 1)):
+            with pytest.raises(AttributeError):
+                setattr(char, name, 2)
+            with pytest.raises(AttributeError):
+                delattr(char, name)
+        assert MultiplicativeCharacter(f, 1).index == 1
+
+    def test_a_copy_is_an_equal_character(self):
+        f = make_field(5)
+        for char in (AdditiveCharacter(f.element(1)), MultiplicativeCharacter(f, 2)):
+            dup = copy.copy(char)
+            assert dup == char and type(dup) is type(char)
+
+    def test_repr_names_the_class(self):
+        f = make_field(5)
+        assert repr(AdditiveCharacter(f.element(1))) == "AdditiveCharacter(a=F5(1))"
+        assert repr(MultiplicativeCharacter(f, 2)) == (
+            "MultiplicativeCharacter(field=Field(p=5, e=1), index=2)")
+
+    def test_an_equal_twist_hits_the_kloosterman_cache(self):
+        f = make_field(7)
+        _kloosterman_levels.cache_clear()
+        first = kloosterman(AdditiveCharacter(f.element(3)), 2, f.one())
+        hits = _kloosterman_levels.cache_info().hits
+        assert kloosterman(AdditiveCharacter(f.element(3)), 2, f.one()) == first
+        assert _kloosterman_levels.cache_info().hits == hits + 1
 
 
 class TestAdditiveCharacter:

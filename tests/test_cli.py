@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from matgauss import cli
 from matgauss.cli import main
 
 from test_characters import over_order_field
@@ -239,6 +240,19 @@ class TestOutputFile:
         assert out == ""
         assert err.startswith("error: ")
         assert not target.parent.exists()
+
+    def test_unwritable_path_fails_before_the_work(self, capsys, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("verify ran its grid for an output it cannot write")
+
+        monkeypatch.setattr(cli, "verify_grid", unreachable)
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(
+            capsys, "verify", "--max-n", "3", "--fields", "4", "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 # the five reference commands and the sha256 of the JSON each writes

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -168,3 +171,19 @@ def test_unused_import_guard_sees_its_cases():
 def test_no_unused_imports(path):
     source = (Path(matgauss.__file__).parent / path).read_text(encoding="utf-8")
     assert _unused_imports(ast.parse(source)) == []
+
+
+# modules that cost most of a cold import when any of them is loaded
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_cli_import_loads_no_heavy_module():
+    # a fresh interpreter, since this one holds them all; compared with what
+    # it holds at start-up, as ``site`` may load some of them (a .pth file)
+    probe = ("import sys\nbase = set(sys.modules)\nimport matgauss.cli\n"
+             f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules) - base))")
+    src = str(Path(matgauss.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
