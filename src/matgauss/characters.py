@@ -15,9 +15,10 @@ starts on a field whose ring is past the cyclotomic bound.
 The closed forms' sums index F_q^* by discrete log: x = g^s, read through
 the field's log, antilog and trace tables, so chi_j(x) * lam_a(x) is zeta_m
 to the power p*j*s + (q-1)*tr(g^(alpha+s)) for a = g^alpha, one ``_tally``
-with no field operation.  The CRT split of Z/m into Z/(q-1) x Z/p makes the
-Kloosterman recursion a cyclic convolution of length m (see
-``_kloosterman_levels``).
+with no field operation.  The oracles' tables of tr(c*x) by encoding
+(``_trace_table``) reorder the same read, so every trace is the field's.
+The CRT split of Z/m into Z/(q-1) x Z/p makes the Kloosterman recursion a
+cyclic convolution of length m (see ``_kloosterman_levels``).
 Jacobi sums J(chi, chi^k) read log(1 - g^s) off the Zech table the same way
 and live in Z[zeta_(q-1)]; ``twisted_gauss_power`` builds G(chi)^n from them
 with one reduction in each ring (``classical_gauss_sum`` and ``**`` remain
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 from .budget import check_budget
 from .cyclotomic import CyclotomicInteger, CyclotomicRing, _mul_low, check_order, get_ring
-from .finite_field import Field, FieldElement, linear_table
+from .finite_field import Field, FieldElement
 
 
 def value_ring(field: Field) -> CyclotomicRing:
@@ -147,24 +148,20 @@ class MultiplicativeCharacter(_Character):
         return f.p * (self.index * f._log[x.enc] % (f.q - 1))
 
 
-def _trace_table(field: Field, c: int) -> list[int] | tuple[int, ...]:
-    """tr(c * x) for every x in F_q, indexed by the encoding of x."""
-    if c == 1:
-        return field._trace
-    # the trace is F_p-linear in the digits of x; digit i weighs tr(c * x^i)
-    p = field.p
-    return linear_table(p, [field.trace_enc(field.mul_enc(c, p**i)) for i in range(field.e)])
-
-
-def _twisted_traces(lam: AdditiveCharacter) -> list[int] | tuple[int, ...]:
-    """tr(a * g^s) for s in [0, q-1), lam = lam_a: for a = g^alpha, the
-    trace of antilog entry alpha + s (the antilog table is stored twice over,
-    so the slice never wraps), and no field operation runs."""
-    field = lam.field
-    if lam.is_trivial:
-        return (0,) * (field.q - 1)
-    alpha, trace = field._log[lam.a.enc], field._trace
+def _twisted_traces(field: Field, c: int) -> list[int]:
+    """tr(c * g^s) for s in [0, q-1): for c = g^alpha, the trace of antilog
+    entry alpha + s (the antilog table is stored twice over, so the slice
+    never wraps), and no field operation runs."""
+    if not c:
+        return [0] * (field.q - 1)
+    alpha, trace = field._log[c], field._trace
     return [trace[x] for x in field._exp[alpha : alpha + field.q - 1]]
+
+
+def _trace_table(field: Field, c: int) -> list[int]:
+    """tr(c * x) for every x in F_q, indexed by the encoding of x."""
+    by_log = _twisted_traces(field, c) + [0]  # x = 0 has log -1, which reads this 0
+    return [by_log[s] for s in field._log]
 
 
 def _tally(values, step: int, weight: int, size: int, start: int = 0) -> list[int]:
@@ -182,7 +179,7 @@ def _log_tally(lam: AdditiveCharacter, j: int) -> list[int]:
     x = g^s contributes zeta_m^(p*j*s + (q-1)*tr(a*g^s)).
     """
     p, q1 = lam.field.p, lam.field.q - 1
-    return _tally(_twisted_traces(lam), p * j, q1, p * q1)
+    return _tally(_twisted_traces(lam.field, lam.a.enc), p * j, q1, p * q1)
 
 
 def classical_gauss_sum(chi: MultiplicativeCharacter, lam: AdditiveCharacter) -> CyclotomicInteger:
@@ -255,7 +252,7 @@ def twisted_gauss_power(chi: MultiplicativeCharacter, lam: AdditiveCharacter, n:
     if jn:
         # x = g^s adds zeta_(q-1)^u * zeta_p^t, u = jn*s, counted at
         # p*(u mod (q-1)) + t = (p*jn*s + t) mod p(q-1), since t < p
-        tally = _tally(_twisted_traces(lam), p * jn, 1, p * q1)
+        tally = _tally(_twisted_traces(field, lam.a.enc), p * jn, 1, p * q1)
         if q1 % 2 == 0:  # zeta_(q-1)^(q1/2) = -1
             half = p * q1 // 2
             tally = list(map(operator.sub, tally[:half], tally[half:]))

@@ -14,8 +14,8 @@ log, and decide themselves which fields their values can live on.  The
 tables are built by walking x -> g * x through a table of that F_p-linear
 map, made in one pass over F_q by int operations on packed digits, so the
 polynomial helpers serve only the modulus and generator searches and the
-map's e columns.  The trace, also F_p-linear, is a table of q
-entries built from its values on the digits.
+map's e columns.  The trace, also F_p-linear, is tabulated by the same
+routine from its values on the digits, with one output digit in place of e.
 """
 
 from __future__ import annotations
@@ -292,25 +292,15 @@ class _UnbuiltField(Field):
             raise AttributeError(name)
         self._exp, self._log, self._zech = _build_tables(self)
         self.__class__ = Field
-        self._trace = tuple(linear_table(self.p, self._compute_trace_basis()))
+        # the trace is the one-digit image of x -> sum(x_i * tr(x^i))
+        self._trace = tuple(_digitwise_table(self.p, [[t] for t in self._compute_trace_basis()]))
         return getattr(self, name)
 
 
-def linear_table(p: int, coeffs) -> list[int]:
-    """sum(coeffs[i] * x_i) mod p for every x in F_q, q = p^len(coeffs).
-
-    x has the digits x_i and the table is indexed by its encoding; an
-    F_p-linear functional extends one digit at a time.
-    """
-    out = [0]
-    for c in coeffs:
-        out = [(d * c + r) % p for d in range(p) for r in out]
-    return out
-
-
 def _digitwise_table(p: int, columns: list[list[int]]) -> list[int]:
-    """The F_p-linear map x -> sum(x_i * columns[i]) on F_q, each column the
-    e digits of its image, as encodings indexed by the encoding of x.
+    """The F_p-linear map x -> sum(x_i * columns[i]) on F_q, q = p^len(columns),
+    each column the digits of an image (e for x -> g * x, one for the
+    trace), as encodings indexed by the encoding of x.
 
     The table doubles over the digits of x: the entries for x < p^(i+1) are
     the p copies of those for x < p^i, the d-th plus d * columns[i].  An
@@ -322,7 +312,7 @@ def _digitwise_table(p: int, columns: list[list[int]]) -> list[int]:
     and those digits then lose p without a borrow.  The slots are finally
     read back as encodings, sum(d_j * p^j), over all slots at once too.
     """
-    e = len(columns)
+    e = len(columns[0])  # output digits
     k = 1 if p == 2 else (2 * p - 2).bit_length() + 1
     size = 4 if k * e <= 32 else 8  # bytes a slot; encodings are below 2^20
     typecode, order = ("I" if size == 4 else "Q"), sys.byteorder
@@ -402,6 +392,7 @@ class FieldElement:
     __slots__ = ("field", "enc")
 
     def __init__(self, field: Field, enc: int):
+        enc = operator.index(enc)
         if not 0 <= enc < field.q:
             raise ValueError(f"encoding {enc} out of range for F_{field.q}")
         self.field = field

@@ -134,13 +134,17 @@ def sl_order(field: Field, n: int) -> int:
 # Closed forms.
 
 
+def _require_nontrivial(lam: AdditiveCharacter) -> None:
+    if lam.is_trivial:
+        raise ValueError("the closed form requires a nontrivial additive character")
+
+
 def _closed(U: MatrixFq, chi: MultiplicativeCharacter | None,
             lam: AdditiveCharacter) -> tuple[str, int, CyclotomicInteger]:
     """(case, rank of U, value) of the closed form of the GL sum at U, or of
     the SL sum when chi is None; one elimination gives rank and det."""
     f = _require_shared_field(U, lam, chi)
-    if lam.is_trivial:
-        raise ValueError("the closed form requires a nontrivial additive character")
+    _require_nontrivial(lam)
     n = U.n
     u, det = matrix_fq._eliminate(f, [list(r) for r in U.rows])
     case = _case(u, n, chi)
@@ -278,7 +282,9 @@ def oracle_report(U: MatrixFq, chi: MultiplicativeCharacter | None,
                   lam: AdditiveCharacter, check: bool = True) -> SumReport:
     """The closed form of the GL sum at U (the SL sum when chi is None), and
     when ``check`` is set the oracle beside it.  The oracle runs first, so a
-    check over the enumeration budget raises before any closed-form work."""
+    check over the enumeration budget raises before any closed-form work;
+    a trivial lambda, which has no closed form, is refused before either."""
+    _require_nontrivial(lam)
     oracle = _oracle(U, chi, lam) if check else None
     case, u, closed = _closed(U, chi, lam)
     return SumReport(check=CHECK_ORACLE, case_label=case, closed_form=closed,

@@ -45,15 +45,11 @@ class MatrixFq:
         for row in rows:
             out = []
             for x in row:
-                if isinstance(x, FieldElement):
-                    if x.field != field:
-                        raise ValueError("matrix entries from a different field")
-                    out.append(x.enc)
-                else:
-                    enc = int(x)
-                    if not 0 <= enc < field.q:
-                        raise ValueError(f"entry encoding {enc} out of range for F_{field.q}")
-                    out.append(enc)
+                if not isinstance(x, FieldElement):
+                    x = FieldElement(field, x)  # refuses a non-integer or out-of-range encoding
+                elif x.field != field:
+                    raise ValueError("matrix entries from a different field")
+                out.append(x.enc)
             norm.append(tuple(out))
         n = len(norm)
         if not 1 <= n <= MAX_DIMENSION:

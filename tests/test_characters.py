@@ -11,6 +11,7 @@ from matgauss.characters import (
     MultiplicativeCharacter,
     _jacobi_tally,
     _kloosterman_levels,
+    _trace_table,
     classical_gauss_sum,
     kloosterman,
     kloosterman_bruteforce,
@@ -159,6 +160,13 @@ class TestAdditiveCharacter:
         for x in range(f.q):
             for y in range(f.q):
                 assert exps[add(x, y)] == (exps[x] + exps[y]) % m
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (7, 2)])
+    def test_trace_table_of_every_twist(self, p, e):
+        # c = 0, c = 1 and every other twist, read off the antilog table
+        f = make_field(p, e)
+        for c in range(f.q):
+            assert list(_trace_table(f, c)) == [f.trace_enc(f.mul_enc(c, x)) for x in range(f.q)]
 
 
 class TestMultiplicativeCharacter:

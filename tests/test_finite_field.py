@@ -103,6 +103,12 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             f.zero().inv()
 
+    @pytest.mark.parametrize("enc", [2.0, 2.7, "2"])
+    def test_element_refuses_an_encoding_that_is_not_an_integer(self, enc):
+        # 2.0 used to construct and then fail on its first product
+        with pytest.raises(TypeError):
+            make_field(5).element(enc)
+
     def test_mixed_fields_raise(self):
         a = make_field(3).element(1)
         b = make_field(5).element(1)
@@ -352,10 +358,18 @@ def test_sampled_tables_agree_with_the_polynomial_product(p, e):
     assert [log[x] for x in exp[: q - 1]] == list(range(q - 1))
     g = exp[1]
     rng = random.Random(f"{p}^{e}")
-    for x in (rng.randrange(q) for _ in range(256)):
+    xs = [rng.randrange(q) for _ in range(256)]
+    for x in xs:
         assert f.mul_enc(g, x) == ref_mul(f, g, x)
     k = rng.randrange(1, q - 1)
     assert f._zech[k] == log[ref_add(f, 1, exp[k])]
+    # tr(x) = x + x^p + ... + x^(p^(e-1)), each conjugate the p-th power of the last
+    for x in xs:
+        conj, total = digits(f, x), 0
+        for _ in range(e):
+            total = ref_add(f, total, from_digits(f, conj))
+            conj = _poly_powmod(conj, p, list(f.modulus), p)
+        assert f.trace_enc(x) == total
 
 
 class TestEnumeration:

@@ -94,6 +94,25 @@ class TestGlClosedForm:
         with pytest.raises(ValueError):
             sl_gauss_closed(MatrixFq.identity(f, 2), lam0)
 
+    @pytest.mark.parametrize("group", ["GL", "SL"])
+    def test_oracle_report_refuses_a_trivial_lambda_before_the_walk(self, group, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the group was enumerated for a trivial lambda")
+
+        f, chi, _ = setup_field(5, chi_index=1)
+        monkeypatch.setattr(gauss_sums, "gl_blocks", no_walk)
+        with pytest.raises(ValueError, match="nontrivial additive character"):
+            oracle_report(MatrixFq.identity(f, 3), chi if group == "GL" else None,
+                          AdditiveCharacter(f.zero()))
+
+    def test_bruteforce_sums_accept_a_trivial_lambda(self):
+        # with both characters trivial every member adds 1
+        f, chi, _ = setup_field(3)
+        lam0 = AdditiveCharacter(f.zero())
+        U = MatrixFq.identity(f, 2)
+        assert gl_gauss_bruteforce(U, chi, lam0) == value_ring(f).from_int(gl_order(f, 2))
+        assert sl_gauss_bruteforce(U, lam0) == value_ring(f).from_int(sl_order(f, 2))
+
     def test_nontrivial_twists_also_verify(self):
         rng = random.Random("twists")
         for q, twist in [(3, 2), (5, 3), (4, 2)]:

@@ -45,6 +45,12 @@ class TestBasics:
             MatrixFq(f, [[make_field(5).element(1), f.element(0)],
                          [f.element(0), f.element(1)]])
 
+    @pytest.mark.parametrize("entry", [2.7, 2.0, "3"])
+    def test_rejects_entries_that_are_not_integers(self, entry):
+        # int() would store 2.7 as 2 and parse "3"
+        with pytest.raises(TypeError):
+            MatrixFq(make_field(5), [[entry, 0], [0, 1]])
+
     def test_matmul_against_by_hand(self):
         f = make_field(5)
         a = MatrixFq(f, [[1, 2], [3, 4]])
